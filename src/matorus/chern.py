@@ -45,7 +45,7 @@ from .grid import (
     inverse,
     measure_weights,
 )
-from .linsolve import solve_constrained
+from .linsolve import laplacian, solve_constrained
 from .solver import SolverConfig, SolveResult, continuity_solve
 
 
@@ -98,18 +98,13 @@ def _poisson_solve_gauduchon(
     ginv = inverse(g_g)
     inv_mean = ginv.reshape(-1, n, n).mean(axis=0)
     w = measure_weights(g_g)
-
-    def apply_op(eta):
-        h = complex_hessian(eta, grid)
-        return np.einsum("...ij,...ji->...", ginv, h).real
-
     f, _ = solve_constrained(
-        apply_op,
+        lambda eta: laplacian(ginv, eta, grid),
         rhs=rhs,
         weights=w,
         constraint_rhs=0.0,
         grid=grid,
-        inv_metric_mean=inv_mean,
+        coeff_mean=inv_mean.T,
         rtol=config.linear_tol,
         maxiter=config.linear_maxiter,
     )

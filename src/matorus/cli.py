@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import ConfigError, MatorusError
 from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
-from .fieldio import deserialize, serialize
+from .fieldio import _write_atomic, deserialize, serialize
 from .geometry import defects, gauduchon_metric, gauduchon_residual, ricci_form
 from .grid import GridSpec, HermitianField, ScalarField, complex_hessian, min_eigenvalue
 from .jets import run_identity_fuzz
@@ -107,13 +108,6 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
         output_dir=out,
         extras=extras,
     )
-
-
-def _write_atomic(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def _write_json(path: str, obj) -> None:
@@ -280,12 +274,16 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> dict:
-    """Execute a task; returns the summary dict (also written to disk)."""
+    """Execute a task; returns the summary dict (also written to disk).
+    A summary from an earlier run is removed first, so a failed task
+    leaves none behind."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    summary_path = Path(out, "summary.json")
+    summary_path.unlink(missing_ok=True)
     summary = _RUNNERS[cfg.task](cfg, out)
     summary["seed"] = cfg.seed
-    _write_json(os.path.join(out, "summary.json"), summary)
+    _write_json(summary_path, summary)
     return summary
 
 
@@ -317,8 +315,9 @@ def main(argv=None) -> int:
     except MatorusError as exc:
         print(json.dumps({"error": exc.payload()}, sort_keys=True))
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        print(json.dumps({"error": {"type": "internal", "message": str(exc)}}, sort_keys=True))
+    except Exception as exc:
+        payload = {"type": "internal", "exception": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": payload}, sort_keys=True))
         return 1
 
 

@@ -18,14 +18,13 @@ largest trial exponent.
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MatorusError
-from .grid import HermitianField, ScalarField, complex_hessian, measure_weights
+from .grid import HermitianField, ScalarField, _workers, complex_hessian, measure_weights
 from .geometry import trace_pair
 from .solver import SolverConfig, SolveResult, continuity_solve
 
@@ -127,10 +126,7 @@ def sweep(
         except MatorusError as exc:
             return SweepEntry(scale=s, error=f"{exc.code}: {exc}")
 
-    try:
-        workers = max(1, int(os.environ.get("MA_THREADS", "1")))
-    except ValueError:
-        workers = 1
+    workers = _workers()
     scales = list(scales)
     if workers > 1 and len(scales) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

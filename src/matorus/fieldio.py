@@ -15,6 +15,7 @@ are interleaved real, imag. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -41,6 +42,19 @@ def _kind_of(fld) -> int:
     raise FieldFormatError(f"cannot serialize object of type {type(fld).__name__}")
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    into place: readers see the old file or the new one, never a part."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def serialize(fld, path) -> None:
     """Write a ScalarField or HermitianField to a field file."""
     kind = _kind_of(fld)
@@ -50,7 +64,7 @@ def serialize(fld, path) -> None:
         payload = np.ascontiguousarray(fld.values, dtype="<f8").tobytes()
     else:
         payload = np.ascontiguousarray(fld.values, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write_atomic(path, header + payload)
 
 
 def deserialize(path, grid: GridSpec | None = None):

@@ -9,11 +9,13 @@ Conventions, with G the coefficient matrix g_{ij-bar} of the metric form:
 
 The conformal weight solve finds v > 0 with d dbar (v omega^{n-1}) = 0,
 the distinguished representative in the conformal class; the kernel is
-obtained by regularized inverse power iteration on the discretized
-operator (shift 0), preconditioned by a frozen-coefficient spectral
-symbol. For n=2 wedge pairings of (1,1)-forms reduce to the mixed
-determinant ``pair_density``; ``wedge_integral`` shares the volume
-normalization of ``grid.integrate`` (flat identity metric has volume 1).
+obtained by one deflated Krylov solve in the mean-zero complement
+(``linsolve.solve_constrained``), preconditioned by a frozen-coefficient
+spectral symbol. Every differential operator here is spectral and
+raises GridMismatchError on a central-difference grid. For n=2 wedge
+pairings of (1,1)-forms reduce to the mixed determinant
+``pair_density``; ``wedge_integral`` shares the volume normalization of
+``grid.integrate`` (flat identity metric has volume 1).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     GauduchonKernelError,
@@ -35,14 +36,14 @@ from .grid import (
     _fftn,
     _holo_symbols,
     _ifftn,
+    _require_spectral,
     complex_hessian,
-    d_antiholo,
-    d_holo,
     det,
     hessian_symbol,
     integrate,
     inverse,
 )
+from .linsolve import laplacian, solve_constrained
 
 
 def _levi_civita(n: int) -> np.ndarray:
@@ -69,21 +70,15 @@ def _levi_civita(n: int) -> np.ndarray:
 def metric_derivatives(g: HermitianField) -> np.ndarray:
     """Holomorphic derivatives d_k g_{ij-bar}, shape grid + (k, i, j)."""
     grid = g.grid
+    _require_spectral(grid, "metric derivatives")
     n = grid.complex_dim
     out = np.empty(grid.shape + (n, n, n), dtype=np.complex128)
-    if grid.diff_scheme == "fourier_collocation":
-        sig = _holo_symbols(grid)
-        for i in range(n):
-            for j in range(n):
-                spec = _fftn(g.values[..., i, j])
-                for k in range(n):
-                    out[..., k, i, j] = _ifftn(sig[k] * spec)
-        return out
+    sig = _holo_symbols(grid)
     for i in range(n):
         for j in range(n):
-            entry = ScalarField(grid, g.values[..., i, j])
+            spec = _fftn(g.values[..., i, j])
             for k in range(n):
-                out[..., k, i, j] = d_holo(entry, k).values
+                out[..., k, i, j] = _ifftn(sig[k] * spec)
     return out
 
 
@@ -136,21 +131,15 @@ def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
 
 def _apply_weight_operator(vvals: np.ndarray, cfields: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficient of d dbar (v omega^{n-1}) for grid values v (real output)."""
+    _require_spectral(grid, "the conformal-weight operator")
     n = grid.complex_dim
-    if grid.diff_scheme == "fourier_collocation":
-        acc = None
-        for p in range(n):
-            for m in range(n):
-                spec = _fftn(vvals * cfields[..., p, m])
-                term = hessian_symbol(grid, p, m) * spec
-                acc = term if acc is None else acc + term
-        return _ifftn(acc).real
-    out = np.zeros(grid.shape)
+    acc = None
     for p in range(n):
         for m in range(n):
-            entry = ScalarField(grid, vvals * cfields[..., p, m])
-            out += d_antiholo(d_holo(entry, p), m).values.real
-    return out
+            spec = _fftn(vvals * cfields[..., p, m])
+            term = hessian_symbol(grid, p, m) * spec
+            acc = term if acc is None else acc + term
+    return _ifftn(acc).real
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
@@ -173,9 +162,7 @@ def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
     """Laplace operator of the canonical connection, trace(G^-1 Hess f)."""
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    h = complex_hessian(f.values, f.grid)
-    lap = np.einsum("...ij,...ji->...", inverse(g), h)
-    return ScalarField(f.grid, lap.real if f.is_real else lap)
+    return ScalarField(f.grid, laplacian(inverse(g), f.values, f.grid))
 
 
 def trace_pair(g: HermitianField, gprime: HermitianField) -> tuple:
@@ -209,20 +196,14 @@ def gauduchon_weight(
     The discretized operator M(v) annihilates the flat grid mean exactly,
     so it has an exact one-dimensional kernel with a representative of
     nonzero mean. The kernel is found by one deflated solve in the
-    mean-zero complement, v = 1 + xi with M(xi) = -M(1): the right-hand
-    side lies in the range of M by construction and both the operator and
-    the spectral preconditioner preserve the mean-zero subspace, on which
-    M is nonsingular and well-conditioned after preconditioning.
+    mean-zero complement, v = 1 + xi with M(xi) = -M(1): the bordered
+    solve pins the flat mean of xi to zero, and since M(xi) = -M(1) lies
+    in the range of M (the mean-zero functions) the border unknown comes
+    back zero.
     """
     g = g.as_metric()
     grid = g.grid
-    if grid.diff_scheme != "fourier_collocation":
-        raise GridMismatchError(
-            "the conformal-weight solve requires the spectral scheme; "
-            "finite differences are kept for differentiation cross-checks only"
-        )
     n, shape = grid.complex_dim, grid.shape
-    npts = grid.npoints
     cfields = _weight_coefficient_fields(g)
 
     def op(vvals):
@@ -232,32 +213,17 @@ def gauduchon_weight(
     if float(np.max(np.abs(rhs))) <= 1e-14:
         return _finish_weight(g, np.ones(shape))
 
-    # Frozen-coefficient symbol for the preconditioner; real and <= 0,
-    # vanishing only at the zero mode (passed through as zero).
-    cmean = cfields.reshape(-1, n, n).mean(axis=0)
-    symbol = np.zeros(shape)
-    for p in range(n):
-        for m in range(n):
-            symbol = symbol + (hessian_symbol(grid, p, m) * cmean[p, m]).real
-    zero = (0,) * len(shape)
-    safe = symbol.copy()
-    safe[zero] = 1.0
-
-    def precond(x):
-        spec = _fftn(x.reshape(shape)) / safe
-        spec[zero] = 0.0
-        return _ifftn(spec).real.ravel()
-
-    A = spla.LinearOperator((npts, npts), matvec=lambda x: op(x.reshape(shape)).ravel(),
-                            dtype=np.float64)
-    M = spla.LinearOperator((npts, npts), matvec=precond, dtype=np.float64)
-    xi, info = spla.lgmres(A, rhs.ravel(), M=M, rtol=inner_rtol, atol=0.0,
-                           maxiter=inner_maxiter)
-    if info != 0:
-        raise LinearSolverStalled(
-            f"conformal-weight kernel solve did not converge (info={info})"
-        )
-    v = 1.0 + xi.reshape(shape)
+    xi, _ = solve_constrained(
+        op,
+        rhs=rhs,
+        weights=np.full(shape, 1.0 / grid.npoints),
+        constraint_rhs=0.0,
+        grid=grid,
+        coeff_mean=cfields.reshape(-1, n, n).mean(axis=0),
+        rtol=inner_rtol,
+        maxiter=inner_maxiter,
+    )
+    v = 1.0 + xi
     resid = float(np.max(np.abs(op(v))) / np.max(np.abs(v)))
     if resid > contract_tol:
         raise LinearSolverStalled(

@@ -11,7 +11,10 @@ Holomorphic derivatives are Wirtinger operators
 
 The default scheme is Fourier collocation, which differentiates
 trigonometric polynomials of degree < N/2 exactly; central differences of
-order k are kept for cross-validation. First-derivative Fourier
+order k are kept to cross-validate the single-axis derivatives
+(``d_real``, ``d_holo``, ``d_antiholo``) only; ``complex_hessian`` and
+every other multi-derivative kernel raise GridMismatchError on such a
+grid. First-derivative Fourier
 multipliers vanish at the Nyquist frequency (exact for the symmetric mode
 interpretation, and keeps real fields real); same-axis second derivatives
 keep the full Nyquist symbol, so the discrete Laplacian's kernel is
@@ -170,6 +173,15 @@ def hessian_symbol(grid: GridSpec, i: int, j: int) -> np.ndarray:
     return -sig[i] * np.conj(sig[j])
 
 
+def _require_spectral(grid: GridSpec, what: str, error=GridMismatchError) -> None:
+    """Raise ``error`` unless the grid uses Fourier collocation."""
+    if grid.diff_scheme != "fourier_collocation":
+        raise error(
+            f"{what} requires the spectral scheme; central differences are "
+            "kept for single-axis derivative cross-checks only"
+        )
+
+
 def _real_axis_derivative(values: np.ndarray, grid: GridSpec, real_axis: int):
     """d/d(coordinate) along one real axis, scheme taken from the grid."""
     N = grid.points_per_axis
@@ -204,6 +216,8 @@ class ScalarField:
             )
         if v.dtype not in (np.float64, np.complex128):
             v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
+        if not np.isfinite(v).all():
+            raise GridMismatchError("field values must be finite")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -251,7 +265,10 @@ class HermitianField:
                 f"values shape {v.shape} does not match {self.grid.shape + (n, n)}"
             )
         vh = np.conj(np.swapaxes(v, -1, -2))
-        scale = max(float(np.max(np.abs(v))), 1.0)
+        vmax = float(np.max(np.abs(v)))
+        if not np.isfinite(vmax):
+            raise GridMismatchError("matrix entries must be finite")
+        scale = max(vmax, 1.0)
         dev = float(np.max(np.abs(v - vh)))
         if dev > HERMITIAN_RTOL * scale:
             raise GridMismatchError(
@@ -339,15 +356,18 @@ def inverse(h: HermitianField) -> np.ndarray:
     return inv / d[..., None, None]
 
 
+def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:
+    """Pointwise smallest eigenvalue of a grid of Hermitian n x n matrices."""
+    if n == 2:
+        tr = (mats[..., 0, 0] + mats[..., 1, 1]).real
+        disc = (mats[..., 0, 0] - mats[..., 1, 1]).real ** 2 + 4.0 * np.abs(mats[..., 0, 1]) ** 2
+        return 0.5 * (tr - np.sqrt(np.maximum(disc, 0.0)))
+    return np.linalg.eigvalsh(mats)[..., 0]
+
+
 def min_eigenvalue(h: HermitianField) -> tuple:
     """Smallest eigenvalue over the grid and the point where it occurs."""
-    m = h.values
-    if h.grid.complex_dim == 2:
-        tr = (m[..., 0, 0] + m[..., 1, 1]).real
-        disc = (m[..., 0, 0] - m[..., 1, 1]).real ** 2 + 4.0 * np.abs(m[..., 0, 1]) ** 2
-        emin = 0.5 * (tr - np.sqrt(np.maximum(disc, 0.0)))
-    else:
-        emin = np.linalg.eigvalsh(m)[..., 0]
+    emin = _eigmin_grid(h.values, h.grid.complex_dim)
     flat = int(np.argmin(emin))
     point = np.unravel_index(flat, h.grid.shape)
     return float(emin.reshape(-1)[flat]), point
@@ -381,35 +401,27 @@ def d_real(f: ScalarField, real_axis: int) -> ScalarField:
 def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """All entries d_i d_jbar f as an array of shape grid.shape + (n, n).
 
-    Fast path for Fourier collocation: one forward transform, one inverse
-    per independent entry. For real input the result is exactly Hermitian
-    (the lower triangle is filled by conjugation).
+    Spectral only: one forward transform, one inverse per independent
+    entry. For real input the result is exactly Hermitian (the lower
+    triangle is filled by conjugation).
     """
+    _require_spectral(grid, "the complex Hessian")
     n = grid.complex_dim
     out = np.empty(grid.shape + (n, n), dtype=np.complex128)
     real_input = not np.iscomplexobj(values)
-    if grid.diff_scheme == "fourier_collocation":
-        spec = _fftn(values)
-        for i in range(n):
-            for j in range(i, n):
-                ent = _ifftn(spec * hessian_symbol(grid, i, j))
-                out[..., i, j] = ent
-                if j > i:
-                    out[..., j, i] = (
-                        np.conj(ent) if real_input
-                        else _ifftn(spec * hessian_symbol(grid, j, i))
-                    )
-        if real_input:
-            for i in range(n):
-                out[..., i, i] = out[..., i, i].real
-        return out
-    f = ScalarField(grid, np.asarray(values))
+    spec = _fftn(values)
     for i in range(n):
-        dif = d_holo(f, i)
-        for j in range(n):
-            out[..., i, j] = d_antiholo(dif, j).values
+        for j in range(i, n):
+            ent = _ifftn(spec * hessian_symbol(grid, i, j))
+            out[..., i, j] = ent
+            if j > i:
+                out[..., j, i] = (
+                    np.conj(ent) if real_input
+                    else _ifftn(spec * hessian_symbol(grid, j, i))
+                )
     if real_input:
-        out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+        for i in range(n):
+            out[..., i, i] = out[..., i, i].real
     return out
 
 

@@ -1,16 +1,18 @@
-"""Bordered Krylov solver for elliptic operators with a one-dimensional
-constant kernel.
-
-Solves, for a scalar field eta and an auxiliary scalar beta,
+"""Spectral operator layer: the Laplacian contraction tr(G^-1 Hess), its
+frozen-coefficient symbol, and a bordered Krylov solve for operators with
+a one-dimensional constant kernel. Its callers are the Newton step
+(``solver.newton_solve``), the Poisson solve in the distinguished metric
+(``chern._poisson_solve_gauduchon``) and the conformal-weight kernel
+solve (``geometry.gauduchon_weight``). For a scalar field eta and an
+auxiliary scalar beta the bordered system is
 
     apply_op(eta) - beta = rhs,        <c, eta> = constraint_rhs,
 
-where apply_op is a canonical Laplacian-type operator (kernel: constants)
-and c is a positive weight vector with <c, 1> = 1. The beta column
-absorbs the cokernel of the operator so the bordered system is square and
-nonsingular. Preconditioned LGMRES; the preconditioner is the exact
-inverse of the bordered system with coefficients frozen at the mean
-inverse metric, applied spectrally.
+with c a positive weight vector; the beta column absorbs the cokernel so
+the system is square and nonsingular. Preconditioned LGMRES; the
+preconditioner is the exact spectral inverse of the bordered system with
+frozen coefficients ``coeff_mean[i, j]``, the mean coefficient of
+d_i d_jbar (for the Laplacian, the transpose of the mean inverse metric).
 """
 
 from __future__ import annotations
@@ -19,17 +21,24 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolverStalled
-from .grid import GridSpec, _fftn, _ifftn, hessian_symbol
+from .grid import GridSpec, _fftn, _ifftn, complex_hessian, hessian_symbol
 
 
-def frozen_symbol(grid: GridSpec, inv_metric_mean: np.ndarray) -> np.ndarray:
-    """Spectral symbol of the frozen-coefficient Laplacian (real, <= 0,
-    vanishing only at the zero mode); matches ``complex_hessian``."""
+def laplacian(ginv: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """trace(G^-1 Hess f) for the pointwise inverse metric ``ginv``; real
+    for real input."""
+    lap = np.einsum("...ij,...ji->...", ginv, complex_hessian(values, grid))
+    return lap if np.iscomplexobj(values) else lap.real
+
+
+def frozen_symbol(grid: GridSpec, coeff_mean: np.ndarray) -> np.ndarray:
+    """Spectral symbol of sum coeff_mean[i, j] d_i d_jbar (real, <= 0 for
+    a positive coefficient matrix, vanishing only at the zero mode)."""
     n = grid.complex_dim
     symbol = np.zeros(grid.shape)
     for i in range(n):
         for j in range(n):
-            symbol = symbol + (hessian_symbol(grid, i, j) * inv_metric_mean[j, i]).real
+            symbol = symbol + (hessian_symbol(grid, i, j) * coeff_mean[i, j]).real
     return symbol
 
 
@@ -39,14 +48,14 @@ def solve_constrained(
     weights: np.ndarray,
     constraint_rhs: float,
     grid: GridSpec,
-    inv_metric_mean: np.ndarray,
+    coeff_mean: np.ndarray,
     rtol: float = 1e-12,
     maxiter: int = 400,
 ) -> tuple:
     """Returns (eta, beta) for the bordered system described above."""
     shape = grid.shape
     npts = grid.npoints
-    symbol = frozen_symbol(grid, inv_metric_mean)
+    symbol = frozen_symbol(grid, coeff_mean)
     # The zero mode is handled explicitly through beta and the constraint row.
     safe = symbol.copy()
     safe[(0,) * len(shape)] = 1.0

@@ -49,8 +49,6 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
         fld = deserialize(spec["path"], grid)
         if not isinstance(fld, HermitianField):
             raise ConfigError(f"{spec['path']} does not contain a matrix field")
-        if not np.all(np.isfinite(fld.values)):
-            raise ConfigError(f"{spec['path']} contains non-finite values")
         return fld.as_metric()
     raise ConfigError(f"unknown metric kind {kind!r}")
 
@@ -70,8 +68,6 @@ def rhs_from_spec(grid: GridSpec, spec) -> ScalarField:
             raise ConfigError(f"{spec['path']} does not contain a real scalar field")
     else:
         raise ConfigError("rhs spec needs an 'expression' or a 'path'")
-    if not np.all(np.isfinite(fld.values)):
-        raise ConfigError("right-hand side contains non-finite values")
     return fld
 
 

@@ -32,15 +32,17 @@ from .errors import (
     NotPositiveError,
     PositivityLost,
 )
-from .geometry import gauduchon_weight
+from .geometry import canonical_laplacian, gauduchon_weight
 from .grid import (
     HermitianField,
     ScalarField,
+    _eigmin_grid,
+    _require_spectral,
     complex_hessian,
     det,
     inverse,
 )
-from .linsolve import solve_constrained
+from .linsolve import laplacian, solve_constrained
 
 _MIN_LINE_SEARCH_STEP = 1e-10
 
@@ -89,43 +91,22 @@ class SolveResult:
         return max(len(self.residual_history) - 1, 0)
 
 
-def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:
-    if n == 2:
-        tr = (mats[..., 0, 0] + mats[..., 1, 1]).real
-        disc = (mats[..., 0, 0] - mats[..., 1, 1]).real ** 2 + 4.0 * np.abs(mats[..., 0, 1]) ** 2
-        return 0.5 * (tr - np.sqrt(np.maximum(disc, 0.0)))
-    return np.linalg.eigvalsh(mats)[..., 0]
-
-
 def _log_det(mats: np.ndarray, grid) -> np.ndarray:
     h = HermitianField(grid, mats)
     return np.log(det(h))
 
 
 def ma_log_residual(g: HermitianField, phi: ScalarField, F: ScalarField, b: float) -> ScalarField:
-    """log det(g + Hess phi) - log det g - F - b, pointwise."""
-    grid = g.grid
-    gp = g.values + complex_hessian(phi.values, grid)
-    emin = _eigmin_grid(gp, grid.complex_dim)
-    worst = int(np.argmin(emin))
-    worst_val = float(emin.reshape(-1)[worst])
-    if worst_val <= 0.0:
-        point = np.unravel_index(worst, grid.shape)
-        raise NotPositiveError(
-            f"g + Hess(phi) has eigenvalue {worst_val:.6e} <= 0 at grid point {point}",
-            worst_point=point,
-            worst_eigenvalue=worst_val,
-        )
-    vals = _log_det(gp, grid) - _log_det(g.values, grid) - F.values - b
-    return ScalarField(grid, vals)
+    """log det(g + Hess phi) - log det g - F - b, pointwise; raises
+    NotPositiveError at the worst grid point if g + Hess phi is not positive."""
+    gp = HermitianField(g.grid, g.values + complex_hessian(phi.values, g.grid), metric=True)
+    return ScalarField(g.grid, np.log(det(gp)) - np.log(det(g)) - F.values - b)
 
 
 def linearized_apply(gprime: HermitianField, eta: ScalarField) -> ScalarField:
     """Derivative of phi -> log det(g + Hess phi): the canonical Laplacian
     of the solution metric applied to eta."""
-    h = complex_hessian(eta.values, eta.grid)
-    lap = np.einsum("...ij,...ji->...", inverse(gprime), h)
-    return ScalarField(eta.grid, lap.real if eta.is_real else lap)
+    return canonical_laplacian(gprime, eta)
 
 
 def _constraint_weights(g: HermitianField, vweight: ScalarField) -> np.ndarray:
@@ -148,11 +129,7 @@ def newton_solve(
     """
     config = config or SolverConfig()
     grid = g.grid
-    if grid.diff_scheme != "fourier_collocation":
-        raise ConfigError(
-            "solving requires the spectral scheme; finite differences are "
-            "kept for differentiation cross-checks only"
-        )
+    _require_spectral(grid, "solving", ConfigError)
     n = grid.complex_dim
     g = g.as_metric()
     if constraint_weights is None:
@@ -194,18 +171,13 @@ def newton_solve(
 
         ginv_p = inverse(HermitianField(grid, gp))
         inv_mean = ginv_p.reshape(-1, n, n).mean(axis=0)
-
-        def apply_op(eta, _ginv=ginv_p):
-            h = complex_hessian(eta, grid)
-            return np.einsum("...ij,...ji->...", _ginv, h).real
-
         eta, db = solve_constrained(
-            apply_op,
+            lambda eta: laplacian(ginv_p, eta, grid),
             rhs=-residual,
             weights=w,
             constraint_rhs=-float((w * phi).sum()),
             grid=grid,
-            inv_metric_mean=inv_mean,
+            coeff_mean=inv_mean.T,
             rtol=config.linear_tol,
             maxiter=config.linear_maxiter,
         )

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from matorus.cli import main
 from matorus.fieldio import deserialize, serialize
@@ -205,4 +206,66 @@ def test_solver_error_surfaces(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "continuation_stalled"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def _gauduchon_config(tmp_path, h="0.25*cos(2*pi*x2)", grid=BASE_GRID):
+    return write_config(
+        tmp_path,
+        "g.json",
+        {
+            "grid": grid,
+            "metric": {"kind": "conformal", "h": h},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+
+
+def test_overflowing_metric_is_a_typed_error(tmp_path, capsys):
+    rc = run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path, h="800*cos(2*pi*x2)")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "grid_mismatch"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_failed_run_removes_stale_summary(tmp_path, capsys):
+    assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
+    rc = run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path, h="800*cos(2*pi*x2)")])
+    assert rc == 1
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_internal_error_names_exception_class(tmp_path, capsys, monkeypatch):
+    from matorus import cli
+
+    def boom(cfg, out):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "gauduchon", boom)
+    assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "internal", "exception": "ZeroDivisionError", "message": "boom"}
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("task", ["report", "gauduchon"])
+def test_central_difference_grid_rejected_by_spectral_tasks(tmp_path, capsys, task):
+    spectral = GridSpec(2, 8)
+    serialize(ScalarField(spectral, np.zeros(spectral.shape)), tmp_path / "phi.field")
+    cfg = write_config(
+        tmp_path,
+        "cd.json",
+        {
+            "grid": {**BASE_GRID, "diff_scheme": "central_difference_4"},
+            "metric": {"kind": "conformal", "h": "0.25*cos(2*pi*x2)"},
+            "rhs": None,
+            "phi": {"path": str(tmp_path / "phi.field")},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    assert run_cli([task, "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "grid_mismatch"
     assert not (tmp_path / "out" / "summary.json").exists()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matorus import fieldio
 from matorus.errors import FieldFormatError
 from matorus.fieldio import MAGIC, deserialize, serialize
 from matorus.grid import GridSpec, HermitianField, ScalarField
@@ -110,3 +111,18 @@ def test_round_trip_is_bit_exact(tmp_path_factory, seed, complex_valued):
     serialize(f, path)
     back = deserialize(path)
     assert back.values.tobytes() == f.values.tobytes()
+
+
+def test_failed_write_keeps_previous_file(grid8, rng, tmp_path, monkeypatch):
+    path = tmp_path / "f.field"
+    serialize(ScalarField(grid8, rng.standard_normal(grid8.shape)), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(fieldio.os, "replace", fail)
+    with pytest.raises(OSError):
+        serialize(ScalarField(grid8, np.zeros(grid8.shape)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f.field"]

@@ -309,3 +309,20 @@ class TestPartsIdentity:
                 ScalarField(grid16, psi.values**p * (-lap.values)), g_g
             )
             assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda g, f: ddbar(f),
+        lambda g, f: canonical_laplacian(g, f),
+        lambda g, f: ricci_form(g),
+        lambda g, f: defects(g),
+    ],
+    ids=["ddbar", "canonical_laplacian", "ricci_form", "defects"],
+)
+def test_multi_derivative_operators_require_spectral_scheme(op):
+    grid = GridSpec(2, 8, "central_difference_4")
+    f = ScalarField(grid, np.cos(2 * np.pi * np.broadcast_to(grid.axis_coordinate(0), grid.shape)))
+    with pytest.raises(GridMismatchError):
+        op(identity_metric(grid), f)

@@ -226,3 +226,18 @@ def test_fields_are_immutable(grid8):
     g = identity_metric(grid8)
     with pytest.raises(ValueError):
         g.values[..., 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["scalar", "hermitian", "metric"])
+def test_non_finite_values_rejected(grid8, kind, bad):
+    if kind == "scalar":
+        vals = np.zeros(grid8.shape)
+        vals[0, 1, 2, 3] = bad
+        with pytest.raises(GridMismatchError):
+            ScalarField(grid8, vals)
+        return
+    vals = identity_metric(grid8).values.copy()
+    vals[0, 1, 2, 3, 0, 0] = bad
+    with pytest.raises(GridMismatchError):
+        HermitianField(grid8, vals, metric=(kind == "metric"))

@@ -130,14 +130,18 @@ def test_metric_from_spec_kinds(grid8, rng):
 
 
 def test_rhs_file_with_nan_rejected(tmp_path, grid8):
-    from matorus.errors import ConfigError
+    from matorus.errors import GridMismatchError
+    from matorus.fieldio import _HEADER
     from matorus.problems import rhs_from_spec
 
-    vals = np.zeros(grid8.shape)
-    vals[0, 0, 0, 0] = np.nan
-    serialize(ScalarField(grid8, vals), tmp_path / "F.field")
-    with pytest.raises(ConfigError):
-        rhs_from_spec(grid8, {"path": str(tmp_path / "F.field")})
+    # A ScalarField refuses NaN, so the NaN is written into the payload.
+    path = tmp_path / "F.field"
+    serialize(ScalarField(grid8, np.zeros(grid8.shape)), path)
+    raw = bytearray(path.read_bytes())
+    raw[_HEADER.size:_HEADER.size + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(GridMismatchError):
+        rhs_from_spec(grid8, {"path": str(path)})
 
 
 def test_prescribe_with_h_file(tmp_path, rng):
