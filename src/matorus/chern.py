@@ -46,7 +46,7 @@ from .grid import (
     measure_weights,
 )
 from .linsolve import laplacian, solve_constrained
-from .solver import SolverConfig, SolveResult, continuity_solve
+from .solver import SolverConfig, SolveResult, _constraint_weights, continuity_solve
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def prescribe_ricci(
     config = config or SolverConfig()
     g = g.as_metric()
     grid = g.grid
-    g_g, _, _ = gauduchon_metric(g)
+    g_g, _, v = gauduchon_metric(g)
 
     c = constraint_integral(g, psi, g_g, closed_tol=closed_tol)
     if abs(c) > constraint_tol:
@@ -143,7 +143,7 @@ def prescribe_ricci(
     l2_sq = integrate(ScalarField(grid, np.maximum(form_norm_sq(a, g_g).values, 0.0)), g_g)
     a_l2 = float(np.sqrt(max(l2_sq, 0.0)))
 
-    solve = continuity_solve(g, f, config)
+    solve = continuity_solve(g, f, config, constraint_weights=_constraint_weights(g, v))
 
     gp_vals = g.values + complex_hessian(solve.phi.values, grid)
     logratio = np.log(det(HermitianField(grid, gp_vals))) - np.log(det(g))

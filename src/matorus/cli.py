@@ -128,6 +128,7 @@ def _solve_summary(result: SolveResult) -> dict:
         "residual_history": result.residual_history,
         "t_trace": [[t, it, r] for t, it, r in result.t_trace],
         "min_eigen_gprime": result.min_eigen_gprime,
+        "rejected_steps": [[t, code] for t, code in result.rejected],
     }
 
 
@@ -306,6 +307,10 @@ def main(argv=None) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     try:
+        if args.out:
+            # Before the config is read, so a config that fails to load
+            # leaves no earlier run's summary in the --out directory.
+            Path(args.out, "summary.json").unlink(missing_ok=True)
         cfg = load_config(args.config, args.task, args.seed, args.out)
         log.info("running task %s (grid n=%d N=%d, seed %d)",
                  cfg.task, cfg.grid.complex_dim, cfg.grid.points_per_axis, cfg.seed)

@@ -18,15 +18,14 @@ largest trial exponent.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MatorusError
-from .grid import HermitianField, ScalarField, _workers, complex_hessian, measure_weights
+from .grid import HermitianField, ScalarField, complex_hessian, measure_weights
 from .geometry import trace_pair
-from .solver import SolverConfig, SolveResult, continuity_solve
+from .solver import SolverConfig, SolveResult, _constraint_weights, continuity_solve
 
 TRIAL_EXPONENTS = (0.5, 1.0, 2.0, 4.0)
 ALPHA_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -110,27 +109,27 @@ def sweep(
     scales,
     config: SolverConfig | None = None,
 ) -> list:
-    """Solve for each scaled right-hand side s * F and report.
+    """Solve for each scaled right-hand side s * F and report, one scale
+    after another in the order given.
 
-    Solver failures are recorded per entry without aborting the sweep.
-    Entries may run concurrently (MA_THREADS > 1); output order follows
-    the input scales.
+    The conformal weight of g is solved once for all scales; its failure
+    concerns the metric, not a scale, and is raised. Solver failures are
+    recorded per entry without aborting the sweep. ``MA_THREADS`` sets only
+    the FFT workers inside each solve.
     """
     config = config or SolverConfig()
     g = g.as_metric()
+    w = _constraint_weights(g)
 
     def one(s: float) -> SweepEntry:
         try:
-            res = continuity_solve(g, ScalarField(F.grid, s * F.values), config)
+            res = continuity_solve(
+                g, ScalarField(F.grid, s * F.values), config, constraint_weights=w
+            )
             return SweepEntry(scale=s, report=report(g, res, F), result=res)
         except MatorusError as exc:
             return SweepEntry(scale=s, error=f"{exc.code}: {exc}")
 
-    workers = _workers()
-    scales = list(scales)
-    if workers > 1 and len(scales) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, scales))
     return [one(s) for s in scales]
 
 

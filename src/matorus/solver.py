@@ -14,8 +14,17 @@ output phi is re-normalized to sup phi = 0 (the equation is invariant
 under constant shifts of phi, so b is unchanged by the shift).
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
-warm-starting each Newton solve from the previous step and halving the
-step on failure.
+warm-starting each Newton solve from the previous step. The first step is
+``t_step_initial``; the step doubles after each accepted step, clipped at
+1 - t, and halves after each rejected one (recorded in
+``SolveResult.rejected``).
+
+Each Newton correction is an inexact solve: LGMRES runs to the relative
+tolerance min(0.1, |r|^2), floored at ``linear_tol``, where |r| is the
+sup-norm of the current log residual. A forcing term of order |r| keeps
+Newton's quadratic convergence (Dembo, Eisenstat and Steihaug, SIAM J.
+Numer. Anal. 19, 1982); the square keeps the final residual far below
+``newton_tol``.
 """
 
 from __future__ import annotations
@@ -70,13 +79,15 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """Converged solution: phi with sup phi = 0, the constant b, and the
-    continuation/Newton diagnostics."""
+    continuation/Newton diagnostics. ``rejected`` lists the (t, error code)
+    of every continuation attempt that failed and halved the step."""
 
     phi: ScalarField
     b: float
     t_trace: list = field(default_factory=list)
     min_eigen_gprime: float = 0.0
     residual_history: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
 
     def __post_init__(self):
         if abs(self.phi.sup()) > 1e-13:
@@ -109,7 +120,11 @@ def linearized_apply(gprime: HermitianField, eta: ScalarField) -> ScalarField:
     return canonical_laplacian(gprime, eta)
 
 
-def _constraint_weights(g: HermitianField, vweight: ScalarField) -> np.ndarray:
+def _constraint_weights(g: HermitianField, vweight: ScalarField | None = None) -> np.ndarray:
+    """Normalized v det g, the weights of the Newton constraint row; solves
+    for the conformal weight v of g when it is not given."""
+    if vweight is None:
+        _, vweight = gauduchon_weight(g)
     w = vweight.values * det(g)
     return w / w.sum()
 
@@ -132,10 +147,7 @@ def newton_solve(
     _require_spectral(grid, "solving", ConfigError)
     n = grid.complex_dim
     g = g.as_metric()
-    if constraint_weights is None:
-        _, v = gauduchon_weight(g)
-        constraint_weights = _constraint_weights(g, v)
-    w = constraint_weights
+    w = _constraint_weights(g) if constraint_weights is None else constraint_weights
 
     if initial is None:
         phi = np.zeros(grid.shape)
@@ -178,7 +190,7 @@ def newton_solve(
             constraint_rhs=-float((w * phi).sum()),
             grid=grid,
             coeff_mean=inv_mean.T,
-            rtol=config.linear_tol,
+            rtol=max(config.linear_tol, min(0.1, res_norm**2)),
             maxiter=config.linear_maxiter,
         )
 
@@ -210,14 +222,19 @@ def continuity_solve(
     F: ScalarField,
     config: SolverConfig | None = None,
     initial: tuple | None = None,
+    constraint_weights: np.ndarray | None = None,
 ) -> SolveResult:
     """March the family log det(g + Hess phi_t) - log det g = t F + b_t
-    from t = 0 to t = 1 with adaptive steps and warm starts."""
+    from t = 0 to t = 1 with adaptive steps and warm starts.
+
+    ``constraint_weights`` (see ``_constraint_weights``) lets a caller that
+    solves several right-hand sides on one metric solve its conformal
+    weight once.
+    """
     config = config or SolverConfig()
     grid = g.grid
     g = g.as_metric()
-    _, v = gauduchon_weight(g)
-    w = _constraint_weights(g, v)
+    w = _constraint_weights(g) if constraint_weights is None else constraint_weights
 
     if initial is None:
         phi, b = np.zeros(grid.shape), 0.0
@@ -231,6 +248,7 @@ def continuity_solve(
             )
 
     trace = []
+    rejected = []
     last = None
     t, step = 0.0, config.t_step_initial
     while t < 1.0:
@@ -244,6 +262,7 @@ def continuity_solve(
                 t_label=t_next,
             )
         except (MaxItersExceeded, PositivityLost, LinearSolverStalled, NotPositiveError) as exc:
+            rejected.append((t_next, exc.code))
             step *= 0.5
             if step < config.t_step_min:
                 raise ContinuationStalled(
@@ -253,7 +272,7 @@ def continuity_solve(
         phi, b = last.phi.values, last.b
         trace.extend(last.t_trace)
         t = t_next
-        step = min(config.t_step_initial, 2.0 * step)
+        step = 2.0 * step
 
     return SolveResult(
         phi=last.phi,
@@ -261,4 +280,5 @@ def continuity_solve(
         t_trace=trace,
         min_eigen_gprime=last.min_eigen_gprime,
         residual_history=last.residual_history,
+        rejected=rejected,
     )

@@ -26,3 +26,20 @@ def sample(grid: GridSpec, fn) -> ScalarField:
 
 def conformal_metric(grid: GridSpec, h: ScalarField) -> HermitianField:
     return identity_metric(grid).scaled(ScalarField(grid, np.exp(h.values))).as_metric()
+
+
+def count_weight_solves(monkeypatch) -> list:
+    """Patch the conformal-weight solve under both names it is called by
+    (``geometry`` and ``solver``); the returned list grows by one per call."""
+    from matorus import geometry, solver
+
+    calls = []
+    original = geometry.gauduchon_weight
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "gauduchon_weight", counted)
+    monkeypatch.setattr(solver, "gauduchon_weight", counted)
+    return calls

@@ -15,7 +15,7 @@ from matorus.grid import (
     measure_weights,
 )
 from matorus.problems import random_trig_field
-from conftest import conformal_metric
+from conftest import conformal_metric, count_weight_solves
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,13 @@ class TestPrescribe:
         assert res.a_l2_norm < 1e-8
         assert res.final_ricci_error < 1e-6
         assert abs(res.constraint_value) < 1e-10
+
+    def test_conformal_weight_solved_once(self, background, rng, monkeypatch):
+        grid, g, _ = background
+        h = random_trig_field(grid, rng, amplitude=0.1, bandwidth=1)
+        calls = count_weight_solves(monkeypatch)
+        prescribe_ricci(g, manufactured_psi(grid, g, h.values))
+        assert len(calls) == 1
 
     def test_flat_background_small_target(self, grid8, rng):
         g = identity_metric(grid8)

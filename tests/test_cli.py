@@ -52,6 +52,8 @@ def test_solve_with_expression_rhs(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert abs(summary["b"]) <= 0.4 + 1e-8
     assert summary["report"]["osc_phi"] > 0
+    assert summary["t_trace"][-1][0] == 1.0
+    assert summary["rejected_steps"] == []
 
 
 def test_determinism_bit_identical(tmp_path):
@@ -234,6 +236,22 @@ def test_failed_run_removes_stale_summary(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
     rc = run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path, h="800*cos(2*pi*x2)")])
     assert rc == 1
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_unloadable_config_removes_stale_summary_in_out_dir(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path), "--out", out]) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
+    bad = write_config(
+        tmp_path,
+        "bad.json",
+        {"grid": BASE_GRID, "metric": {"kind": "flat"}, "solver": {"damping": 2.0}},
+    )
+    capsys.readouterr()
+    assert run_cli(["gauduchon", "--config", bad, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

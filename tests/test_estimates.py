@@ -21,6 +21,8 @@ from matorus.grid import (
 from matorus.problems import random_trig_field
 from matorus.solver import SolverConfig, continuity_solve
 
+from conftest import conformal_metric, count_weight_solves
+
 
 @pytest.fixture(scope="module")
 def solved(request):
@@ -108,6 +110,14 @@ class TestSweep:
         assert entries[0].error is None
         assert entries[0].report.osc_phi == 0.0
         assert entries[0].result.b == 0.0
+
+    def test_conformal_weight_solved_once_per_sweep(self, grid8, rng, monkeypatch):
+        g = conformal_metric(grid8, random_trig_field(grid8, rng, amplitude=0.1, bandwidth=1))
+        F = random_trig_field(grid8, rng, amplitude=0.4, bandwidth=1)
+        calls = count_weight_solves(monkeypatch)
+        entries = sweep(g, F, [0.5, 1.0, 1.5])
+        assert all(e.error is None for e in entries)
+        assert len(calls) == 1
 
     def test_error_propagates_per_entry(self, grid8, rng):
         g = identity_metric(grid8)

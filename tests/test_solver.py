@@ -282,6 +282,34 @@ class TestContinuity:
         assert all(r <= 1e-10 for _, _, r in res.t_trace)
         assert res.min_eigen_gprime > 0
 
+    def test_default_path_doubles_step_up_to_one(self, grid8, rng):
+        g = identity_metric(grid8)
+        F = random_trig_field(grid8, rng, amplitude=0.5, bandwidth=1)
+        res = continuity_solve(g, F)
+        ts = [t for t, _, _ in res.t_trace]
+        assert ts == pytest.approx([0.1, 0.3, 0.7, 1.0], abs=1e-12)
+        assert ts[-1] == 1.0
+        assert res.rejected == []
+        one_step = continuity_solve(g, F, SolverConfig(t_step_initial=1.0))
+        assert [t for t, _, _ in one_step.t_trace] == [1.0]
+        assert np.max(np.abs(res.phi.values - one_step.phi.values)) <= 1e-10
+        assert abs(res.b - one_step.b) <= 1e-10
+
+    def test_overshoot_halves_and_is_recorded(self, grid8, rng):
+        # after t = 0.7 the doubled step is clipped to t = 1, which six
+        # Newton iterations cannot reach for this amplitude; the step
+        # halves until an attempt converges and the path still ends at 1
+        g = identity_metric(grid8)
+        F = random_trig_field(grid8, rng, amplitude=2.0, bandwidth=1)
+        res = continuity_solve(g, F, SolverConfig(max_newton_iters=6, t_step_initial=0.1))
+        ts = [t for t, _, _ in res.t_trace]
+        assert res.rejected
+        assert all(code == "max_iters_exceeded" for _, code in res.rejected)
+        assert ts[-1] == 1.0
+        assert ts == sorted(ts)
+        assert len(ts) > 4
+        assert all(r <= 1e-10 for _, _, r in res.t_trace)
+
 
 class TestSpectralConvergence:
     def test_non_band_limited_manufactured_solution(self):
