@@ -45,7 +45,7 @@ from .grid import (
     inverse,
     measure_weights,
 )
-from .linsolve import laplacian, solve_constrained
+from .linsolve import laplacian, laplacian_planes, solve_constrained
 from .solver import SolverConfig, SolveResult, _constraint_weights, continuity_solve
 
 
@@ -97,9 +97,10 @@ def _poisson_solve_gauduchon(
     n = grid.complex_dim
     ginv = inverse(g_g)
     inv_mean = ginv.reshape(-1, n, n).mean(axis=0)
+    planes = laplacian_planes(ginv)
     w = measure_weights(g_g)
     f, _ = solve_constrained(
-        lambda eta: laplacian(ginv, eta, grid),
+        lambda eta: laplacian(planes, eta, grid),
         rhs=rhs,
         weights=w,
         constraint_rhs=0.0,

@@ -137,7 +137,7 @@ def _task_solve(cfg: RunConfig, out: str) -> dict:
     F = rhs_from_spec(cfg.grid, cfg.rhs_spec)
     result = continuity_solve(g, F, cfg.solver)
     serialize(result.phi, os.path.join(out, "phi.field"))
-    rep = estimate_report(g, result, F)
+    rep = estimate_report(g, result)
     summary = {"task": "solve", **_solve_summary(result), "report": rep.as_json_dict(),
                "phi_file": "phi.field"}
     return summary
@@ -240,7 +240,6 @@ def _task_report(cfg: RunConfig, out: str) -> dict:
     b = cfg.extras.get("b", 0.0)
     _require(isinstance(b, (int, float)), "report task field 'b' must be a number")
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
-    F = rhs_from_spec(cfg.grid, cfg.rhs_spec)
     phi = deserialize(phi_spec["path"], cfg.grid)
     _require(
         isinstance(phi, ScalarField) and phi.is_real,
@@ -255,7 +254,7 @@ def _task_report(cfg: RunConfig, out: str) -> dict:
         min_eigen_gprime=min_eigenvalue(gprime)[0],
         residual_history=[],
     )
-    rep = estimate_report(g, result, F)
+    rep = estimate_report(g, result)
     rows = []
     for alpha, r in sorted(rep.R_alpha.items()):
         for a, ca in sorted(rep.fitted_A_C):

@@ -80,7 +80,19 @@ class PositivityLost(MatorusError):
 
 
 class ContinuationStalled(MatorusError):
+    """The continuation step fell below its minimum; ``rejected`` lists the
+    (t, error code) of every failed attempt, the last one included."""
+
     code = "continuation_stalled"
+
+    def __init__(self, message: str, rejected=()):
+        super().__init__(message)
+        self.rejected = list(rejected)
+
+    def payload(self) -> dict:
+        out = super().payload()
+        out["rejected_steps"] = [[t, code] for t, code in self.rejected]
+        return out
 
 
 class NotClosedError(MatorusError):

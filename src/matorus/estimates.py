@@ -68,7 +68,7 @@ def levelset_measure(phi: np.ndarray, weights: np.ndarray, c1: float) -> float:
     return float(weights[phi <= phi.min() + c1 + 1.0].sum())
 
 
-def report(g: HermitianField, result: SolveResult, F: ScalarField) -> EstimateReport:
+def report(g: HermitianField, result: SolveResult) -> EstimateReport:
     """Estimate report for a converged solve on background g."""
     g = g.as_metric()
     w = measure_weights(g)
@@ -126,7 +126,7 @@ def sweep(
             res = continuity_solve(
                 g, ScalarField(F.grid, s * F.values), config, constraint_weights=w
             )
-            return SweepEntry(scale=s, report=report(g, res, F), result=res)
+            return SweepEntry(scale=s, report=report(g, res), result=res)
         except MatorusError as exc:
             return SweepEntry(scale=s, error=f"{exc.code}: {exc}")
 

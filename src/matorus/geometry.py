@@ -11,11 +11,23 @@ The conformal weight solve finds v > 0 with d dbar (v omega^{n-1}) = 0,
 the distinguished representative in the conformal class; the kernel is
 obtained by one deflated Krylov solve in the mean-zero complement
 (``linsolve.solve_constrained``), preconditioned by a frozen-coefficient
-spectral symbol. Every differential operator here is spectral and
-raises GridMismatchError on a central-difference grid. For n=2 wedge
-pairings of (1,1)-forms reduce to the mixed determinant
-``pair_density``; ``wedge_integral`` shares the volume normalization of
-``grid.integrate`` (flat identity metric has volume 1).
+spectral symbol. The weight operator is
+
+    M(v) = irfftn( sum_k S_k * rfftn(v * C_k) ),
+
+with S_k the real half-spectrum Hessian symbols cached per grid
+(``grid.real_hessian_symbols``) and C_k the real coefficient planes
+C_pp, 2 Re C_pm and -2 Im C_pm (p < m) of the fields C
+(``grid.coefficient_planes``), built once per ``gauduchon_weight``,
+``gauduchon_residual`` or ``defects`` call: n^2 real forward transforms
+and one real inverse one per apply. ``defects`` differentiates the
+metric once for the Kahler defect and the torsion trace.
+
+Every differential operator here is spectral and raises
+GridMismatchError on a central-difference grid. For n=2 wedge pairings
+of (1,1)-forms reduce to the mixed determinant ``pair_density``;
+``wedge_integral`` shares the volume normalization of ``grid.integrate``
+(flat identity metric has volume 1).
 """
 
 from __future__ import annotations
@@ -36,34 +48,23 @@ from .grid import (
     _fftn,
     _holo_symbols,
     _ifftn,
+    _irfftn,
     _require_spectral,
+    _rfftn,
+    coefficient_planes,
     complex_hessian,
     det,
-    hessian_symbol,
     integrate,
     inverse,
+    real_hessian_symbols,
 )
-from .linsolve import laplacian, solve_constrained
+from .linsolve import laplacian, laplacian_planes, solve_constrained
 
 
-def _levi_civita(n: int) -> np.ndarray:
-    eps = np.zeros((n,) * n)
-    if n == 2:
-        eps[0, 1], eps[1, 0] = 1.0, -1.0
-    else:
-        from itertools import permutations
-
-        def sign(p):
-            s, p = 1, list(p)
-            for i in range(len(p)):
-                while p[i] != i:
-                    j = p[i]
-                    p[i], p[j] = p[j], p[i]
-                    s = -s
-            return s
-
-        for p in permutations(range(n)):
-            eps[p] = sign(p)
+def _levi_civita3() -> np.ndarray:
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
     return eps
 
 
@@ -120,41 +121,62 @@ class MetricDefects:
 
 def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
     """Fields C[p, m] with d dbar (v omega^{n-1}) ~ sum_pm d_p d_mbar (v C[p,m])."""
-    n = g.grid.complex_dim
-    eps = _levi_civita(n)
-    if n == 2:
-        return np.einsum("pk,ml,...kl->...pm", eps, eps, g.values)
-    return np.einsum(
-        "pac,mbd,...ab,...cd->...pm", eps, eps, g.values, g.values
-    )
+    gv = g.values
+    if g.grid.complex_dim == 2:
+        c = np.empty_like(gv)
+        c[..., 0, 0] = gv[..., 1, 1]
+        c[..., 1, 1] = gv[..., 0, 0]
+        c[..., 0, 1] = -gv[..., 1, 0]
+        c[..., 1, 0] = -gv[..., 0, 1]
+        return c
+    eps = _levi_civita3()
+    return np.einsum("pac,mbd,...ab,...cd->...pm", eps, eps, gv, gv, optimize=True)
 
 
-def _apply_weight_operator(vvals: np.ndarray, cfields: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficient of d dbar (v omega^{n-1}) for grid values v (real output)."""
+def _apply_weight_operator(vvals: np.ndarray, planes: tuple, grid: GridSpec) -> np.ndarray:
+    """Coefficient of d dbar (v omega^{n-1}) for real grid values v, from
+    the coefficient planes of the fields C (``grid.coefficient_planes``):
+    n^2 real forward transforms and one real inverse one."""
     _require_spectral(grid, "the conformal-weight operator")
-    n = grid.complex_dim
-    acc = None
-    for p in range(n):
-        for m in range(n):
-            spec = _fftn(vvals * cfields[..., p, m])
-            term = hessian_symbol(grid, p, m) * spec
-            acc = term if acc is None else acc + term
-    return _ifftn(acc).real
+    symbols = real_hessian_symbols(grid)
+    acc = symbols[0] * _rfftn(vvals * planes[0])
+    for coeff, symbol in zip(planes[1:], symbols[1:]):
+        acc += symbol * _rfftn(vvals * coeff)
+    return _irfftn(acc, grid.shape)
+
+
+def _weight_planes(g: HermitianField) -> tuple:
+    return coefficient_planes(_weight_coefficient_fields(g))
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
     """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|."""
-    c = _weight_coefficient_fields(g)
-    r = _apply_weight_operator(v.values, c, g.grid)
+    r = _apply_weight_operator(v.values, _weight_planes(g), g.grid)
     return float(np.max(np.abs(r)) / np.max(np.abs(v.values)))
 
 
+def _torsion_trace(ginv: np.ndarray, antisym: np.ndarray) -> np.ndarray:
+    """sum_j T^j_ji over i from the antisymmetrized metric derivatives
+    antisym[..., a, b, c] = d_a g_{bc-bar} - d_b g_{ac-bar}; equals
+    ``torsion(g).trace()`` without building the torsion tensor."""
+    n = ginv.shape[-1]
+    out = np.zeros(ginv.shape[:-1], dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            if j != i:  # antisym[..., i, i, :] vanishes
+                for l in range(n):
+                    out[..., i] += ginv[..., l, j] * antisym[..., j, i, l]
+    return out
+
+
 def defects(g: HermitianField) -> MetricDefects:
+    g = g.as_metric()
     dg = metric_derivatives(g)
-    kaehler = float(np.max(np.abs(dg - np.swapaxes(dg, -3, -2))))
-    balanced = float(np.max(np.abs(torsion(g).trace())))
+    antisym = dg - np.swapaxes(dg, -3, -2)
+    kaehler = float(np.max(np.abs(antisym)))
+    balanced = float(np.max(np.abs(_torsion_trace(inverse(g), antisym))))
     ones = np.ones(g.grid.shape)
-    gaud = float(np.max(np.abs(_apply_weight_operator(ones, _weight_coefficient_fields(g), g.grid))))
+    gaud = float(np.max(np.abs(_apply_weight_operator(ones, _weight_planes(g), g.grid))))
     return MetricDefects(kaehler, balanced, gaud)
 
 
@@ -162,7 +184,7 @@ def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
     """Laplace operator of the canonical connection, trace(G^-1 Hess f)."""
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    return ScalarField(f.grid, laplacian(inverse(g), f.values, f.grid))
+    return ScalarField(f.grid, laplacian(laplacian_planes(inverse(g)), f.values, f.grid))
 
 
 def trace_pair(g: HermitianField, gprime: HermitianField) -> tuple:
@@ -205,9 +227,10 @@ def gauduchon_weight(
     grid = g.grid
     n, shape = grid.complex_dim, grid.shape
     cfields = _weight_coefficient_fields(g)
+    planes = coefficient_planes(cfields)
 
     def op(vvals):
-        return _apply_weight_operator(vvals, cfields, grid)
+        return _apply_weight_operator(vvals, planes, grid)
 
     rhs = -op(np.ones(shape))
     if float(np.max(np.abs(rhs))) <= 1e-14:
@@ -250,7 +273,7 @@ def _finish_weight(g: HermitianField, v: np.ndarray) -> tuple:
 def gauduchon_metric(g: HermitianField) -> tuple:
     """(omega_G, u, v): the distinguished conformal metric e^u g and its weight."""
     u, v = gauduchon_weight(g)
-    g_g = g.scaled(ScalarField(g.grid, np.exp(u.values))).as_metric()
+    g_g = HermitianField(g.grid, g.values * np.exp(u.values)[..., None, None], metric=True)
     return g_g, u, v
 
 

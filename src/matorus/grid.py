@@ -24,6 +24,14 @@ Integration fixes all volume-form constants (n!, powers of i/2) into a
 single convention: ``integrate(f, g) = mean over grid points of
 f * det(g)``, so that ``integrate(1, flat identity metric) == 1``.
 
+Real fields are transformed with real-input FFTs (``rfftn``/``irfftn``,
+which keep the half spectrum whose last axis is cut to N/2 + 1), complex
+fields with complex-to-complex ones. The Hessian symbols are cached once
+per grid as real half-spectrum planes (``real_hessian_symbols``), built
+on first use; every second-order operator with Hermitian coefficients
+acts on real fields through them and the matching real coefficient
+planes (``coefficient_planes``).
+
 Fields are immutable after construction; all pointwise kernels are pure.
 The FFT backend (scipy.fft) keeps an internal plan cache that is safe for
 concurrent read-only use; the worker count is taken from the MA_THREADS
@@ -66,6 +74,14 @@ def _fftn(a):
 
 def _ifftn(a):
     return _sfft.ifftn(a, workers=_workers())
+
+
+def _rfftn(a):
+    return _sfft.rfftn(a, workers=_workers())
+
+
+def _irfftn(a, shape):
+    return _sfft.irfftn(a, s=shape, workers=_workers())
 
 
 @dataclass(frozen=True)
@@ -171,6 +187,48 @@ def hessian_symbol(grid: GridSpec, i: int, j: int) -> np.ndarray:
         return _diag_second_symbols(grid)[i]
     sig = _holo_symbols(grid)
     return -sig[i] * np.conj(sig[j])
+
+
+@lru_cache(maxsize=32)
+def real_hessian_symbols(grid: GridSpec) -> tuple:
+    """Real half-spectrum planes of the Hessian symbols, in the order of
+    ``coefficient_planes``: S_ii for each i, then Re S_ij and Im S_ij for
+    each i < j, with S_ij the symbol of d_i d_jbar.
+
+    Each plane is real and even in the frequency, so it maps real fields
+    to real fields: for real f and F = rfftn(f), d_i d_jbar f is
+    irfftn(Re S_ij F) + i irfftn(Im S_ij F). The planes cover the half
+    spectrum kept by rfftn (last axis cut to N/2 + 1) and are read-only.
+    """
+    n, N = grid.complex_dim, grid.points_per_axis
+    half = grid.shape[:-1] + (N // 2 + 1,)
+
+    def plane(sym):
+        p = np.broadcast_to(sym[..., : N // 2 + 1], half).copy()
+        p.setflags(write=False)
+        return p
+
+    planes = [plane(hessian_symbol(grid, i, i)) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = hessian_symbol(grid, i, j)
+            planes += [plane(s.real), plane(s.imag)]
+    return tuple(planes)
+
+
+def coefficient_planes(coeff: np.ndarray) -> tuple:
+    """Real planes of the operator sum_ij coeff[..., i, j] d_i d_jbar for
+    Hermitian coefficients, in the order of ``real_hessian_symbols``:
+    Re coeff_ii for each i, then 2 Re coeff_ij and -2 Im coeff_ij for each
+    i < j. On a real field f the operator is
+    sum_k planes[k] * irfftn(symbols[k] * rfftn(f)).
+    """
+    n = coeff.shape[-1]
+    planes = [coeff[..., i, i].real.copy() for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            planes += [2.0 * coeff[..., i, j].real, -2.0 * coeff[..., i, j].imag]
+    return tuple(planes)
 
 
 def _require_spectral(grid: GridSpec, what: str, error=GridMismatchError) -> None:
@@ -401,27 +459,32 @@ def d_real(f: ScalarField, real_axis: int) -> ScalarField:
 def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """All entries d_i d_jbar f as an array of shape grid.shape + (n, n).
 
-    Spectral only: one forward transform, one inverse per independent
-    entry. For real input the result is exactly Hermitian (the lower
-    triangle is filled by conjugation).
+    Spectral only. Real input takes one real forward transform and n^2
+    real inverse ones from ``real_hessian_symbols``; the result is exactly
+    Hermitian. Complex input takes one complex forward transform and n^2
+    complex inverse ones.
     """
     _require_spectral(grid, "the complex Hessian")
-    n = grid.complex_dim
-    out = np.empty(grid.shape + (n, n), dtype=np.complex128)
-    real_input = not np.iscomplexobj(values)
-    spec = _fftn(values)
-    for i in range(n):
-        for j in range(i, n):
-            ent = _ifftn(spec * hessian_symbol(grid, i, j))
-            out[..., i, j] = ent
-            if j > i:
-                out[..., j, i] = (
-                    np.conj(ent) if real_input
-                    else _ifftn(spec * hessian_symbol(grid, j, i))
-                )
-    if real_input:
+    n, shape = grid.complex_dim, grid.shape
+    out = np.empty(shape + (n, n), dtype=np.complex128)
+    if np.iscomplexobj(values):
+        spec = _fftn(values)
         for i in range(n):
-            out[..., i, i] = out[..., i, i].real
+            for j in range(n):
+                out[..., i, j] = _ifftn(spec * hessian_symbol(grid, i, j))
+        return out
+    spec = _rfftn(values)
+    symbols = iter(real_hessian_symbols(grid))
+    for i in range(n):
+        out[..., i, i] = _irfftn(next(symbols) * spec, shape)
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = _irfftn(next(symbols) * spec, shape)
+            im = _irfftn(next(symbols) * spec, shape)
+            out[..., i, j].real = re
+            out[..., i, j].imag = im
+            out[..., j, i].real = re
+            out[..., j, i].imag = -im
     return out
 
 

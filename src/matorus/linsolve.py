@@ -13,6 +13,14 @@ the system is square and nonsingular. Preconditioned LGMRES; the
 preconditioner is the exact spectral inverse of the bordered system with
 frozen coefficients ``coeff_mean[i, j]``, the mean coefficient of
 d_i d_jbar (for the Laplacian, the transpose of the mean inverse metric).
+
+Every transform here is a real-input one (``rfftn``/``irfftn``). The
+caller builds the Laplacian's real coefficient planes once per inverse
+metric (``laplacian_planes``); each apply multiplies them with the
+half-spectrum Hessian symbols cached per grid
+(``grid.real_hessian_symbols``): one ``rfftn`` and n^2 ``irfftn``, with
+no (..., n, n) array. ``frozen_symbol`` and the preconditioner use the
+same half-spectrum symbols.
 """
 
 from __future__ import annotations
@@ -21,25 +29,43 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolverStalled
-from .grid import GridSpec, _fftn, _ifftn, complex_hessian, hessian_symbol
+from .grid import (
+    GridSpec,
+    _irfftn,
+    _require_spectral,
+    _rfftn,
+    coefficient_planes,
+    real_hessian_symbols,
+)
 
 
-def laplacian(ginv: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """trace(G^-1 Hess f) for the pointwise inverse metric ``ginv``; real
-    for real input."""
-    lap = np.einsum("...ij,...ji->...", ginv, complex_hessian(values, grid))
-    return lap if np.iscomplexobj(values) else lap.real
+def laplacian_planes(ginv: np.ndarray) -> tuple:
+    """Coefficient planes (``grid.coefficient_planes``) of trace(G^-1 Hess)
+    for the pointwise inverse metric ``ginv``, whose entry [j, i] is the
+    coefficient of d_i d_jbar."""
+    return coefficient_planes(np.swapaxes(ginv, -1, -2))
+
+
+def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """trace(G^-1 Hess f) from the coefficient planes of ``laplacian_planes``:
+    one real forward transform and n^2 real inverse ones, real for real
+    input; complex input is split into its real and imaginary parts."""
+    _require_spectral(grid, "the Laplacian")
+    if np.iscomplexobj(values):
+        return laplacian(planes, values.real, grid) + 1j * laplacian(planes, values.imag, grid)
+    spec = _rfftn(values)
+    out = np.zeros(grid.shape)
+    for coeff, symbol in zip(planes, real_hessian_symbols(grid)):
+        out += coeff * _irfftn(symbol * spec, grid.shape)
+    return out
 
 
 def frozen_symbol(grid: GridSpec, coeff_mean: np.ndarray) -> np.ndarray:
-    """Spectral symbol of sum coeff_mean[i, j] d_i d_jbar (real, <= 0 for
-    a positive coefficient matrix, vanishing only at the zero mode)."""
-    n = grid.complex_dim
-    symbol = np.zeros(grid.shape)
-    for i in range(n):
-        for j in range(n):
-            symbol = symbol + (hessian_symbol(grid, i, j) * coeff_mean[i, j]).real
-    return symbol
+    """Half-spectrum symbol of sum coeff_mean[i, j] d_i d_jbar for a
+    constant Hermitian coefficient matrix (real, <= 0 for a positive one,
+    vanishing only at the zero mode)."""
+    planes = coefficient_planes(np.asarray(coeff_mean))
+    return sum(c * s for c, s in zip(planes, real_hessian_symbols(grid)))
 
 
 def solve_constrained(
@@ -72,11 +98,11 @@ def solve_constrained(
     def precond(x):
         r = x[:npts].reshape(shape)
         s = x[npts]
-        spec = _fftn(r)
+        spec = _rfftn(r)
         mean_r = spec[(0,) * len(shape)].real / npts
         spec = spec / safe
         spec[(0,) * len(shape)] = 0.0
-        eta = _ifftn(spec).real
+        eta = _irfftn(spec, shape)
         alpha = (s - float((w * eta).sum())) / w_total
         return np.concatenate([(eta + alpha).ravel(), [-mean_r]])
 

@@ -37,7 +37,8 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
         if "h" not in spec:
             raise ConfigError("conformal metric spec needs an 'h' expression")
         h = sample_expression(spec["h"], grid)
-        return identity_metric(grid).scaled(ScalarField(grid, np.exp(h.values))).as_metric()
+        eye = np.eye(grid.complex_dim)
+        return HermitianField(grid, np.exp(h.values)[..., None, None] * eye, metric=True)
     if kind == "kaehler_perturbation":
         if "f" not in spec:
             raise ConfigError("kaehler_perturbation metric spec needs an 'f' expression")

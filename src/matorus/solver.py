@@ -51,7 +51,7 @@ from .grid import (
     det,
     inverse,
 )
-from .linsolve import laplacian, solve_constrained
+from .linsolve import laplacian, laplacian_planes, solve_constrained
 
 _MIN_LINE_SEARCH_STEP = 1e-10
 
@@ -183,8 +183,9 @@ def newton_solve(
 
         ginv_p = inverse(HermitianField(grid, gp))
         inv_mean = ginv_p.reshape(-1, n, n).mean(axis=0)
+        planes = laplacian_planes(ginv_p)
         eta, db = solve_constrained(
-            lambda eta: laplacian(ginv_p, eta, grid),
+            lambda eta: laplacian(planes, eta, grid),
             rhs=-residual,
             weights=w,
             constraint_rhs=-float((w * phi).sum()),
@@ -266,7 +267,8 @@ def continuity_solve(
             step *= 0.5
             if step < config.t_step_min:
                 raise ContinuationStalled(
-                    f"continuation step fell below {config.t_step_min:.1e} at t={t_next:.4f}: {exc}"
+                    f"continuation step fell below {config.t_step_min:.1e} at t={t_next:.4f}: {exc}",
+                    rejected=rejected,
                 ) from exc
             continue
         phi, b = last.phi.values, last.b

@@ -1,3 +1,6 @@
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -43,3 +46,30 @@ def count_weight_solves(monkeypatch) -> list:
     monkeypatch.setattr(geometry, "gauduchon_weight", counted)
     monkeypatch.setattr(solver, "gauduchon_weight", counted)
     return calls
+
+
+TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def count_transforms(monkeypatch) -> Counter:
+    """Replace ``grid._sfft`` by its six transform entry points, each
+    counted; the returned Counter maps a function name to its calls."""
+    from matorus import grid
+
+    counts = Counter()
+    real = grid._sfft
+
+    def counted(name):
+        fn = getattr(real, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        grid, "_sfft", SimpleNamespace(**{name: counted(name) for name in TRANSFORMS})
+    )
+    return counts

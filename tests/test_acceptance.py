@@ -191,7 +191,7 @@ def test_criterion_06_gauduchon_solver():
 def test_criterion_07_levelset_bound(solve_suite):
     with criterion(7, "level-set measure bound on solves and 100 random fields"):
         for g, F, res in solve_suite:
-            rep = report(g, res, F)
+            rep = report(g, res)
             assert rep.levelset_measure >= np.exp(-rep.C1) / 4.0
         grid = GridSpec(2, 8)
         rng = np.random.default_rng(707)

@@ -192,8 +192,8 @@ def test_task_mismatch_rejected(tmp_path, capsys):
     assert rc == 1
 
 
-def test_solver_error_surfaces(tmp_path, capsys):
-    cfg = write_config(
+def _stall_config(tmp_path):
+    return write_config(
         tmp_path,
         "stall.json",
         {
@@ -204,11 +204,22 @@ def test_solver_error_surfaces(tmp_path, capsys):
             "output_dir": str(tmp_path / "out"),
         },
     )
-    rc = run_cli(["solve", "--config", cfg])
+
+
+def test_solver_error_surfaces(tmp_path, capsys):
+    rc = run_cli(["solve", "--config", _stall_config(tmp_path)])
     assert rc == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "continuation_stalled"
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_stalled_run_lists_rejected_steps(tmp_path, capsys):
+    assert run_cli(["solve", "--config", _stall_config(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "continuation_stalled"
+    assert [t for t, _ in err["rejected_steps"]] == [0.5, 0.25]
+    assert all(code == "max_iters_exceeded" for _, code in err["rejected_steps"])
 
 
 def _gauduchon_config(tmp_path, h="0.25*cos(2*pi*x2)", grid=BASE_GRID):

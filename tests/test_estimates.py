@@ -41,7 +41,7 @@ class TestReport:
     def test_trivial_solve_values(self, grid8):
         g = identity_metric(grid8)
         res = continuity_solve(g, constant_field(grid8))
-        rep = report(g, res, constant_field(grid8))
+        rep = report(g, res)
         assert rep.sup_tr == pytest.approx(2.0, abs=1e-12)
         assert rep.osc_phi == 0.0
         assert all(abs(v) < 1e-14 for v in rep.R_alpha.values())
@@ -72,7 +72,7 @@ class TestReport:
 
     def test_report_on_solve(self, solved):
         grid, g, F, res = solved
-        rep = report(g, res, F)
+        rep = report(g, res)
         assert rep.sup_tr > 2.0
         assert rep.osc_phi == -res.phi.inf()
         assert rep.levelset_measure >= np.exp(-rep.C1) / 4.0
