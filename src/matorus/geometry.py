@@ -95,11 +95,16 @@ class TorsionField:
         return np.einsum("...jji->...i", self.values)
 
 
+def _antisymmetrized_derivatives(g: HermitianField) -> np.ndarray:
+    """d_i g_{jl-bar} - d_j g_{il-bar}, shape grid + (i, j, l)."""
+    dg = metric_derivatives(g)
+    return dg - np.swapaxes(dg, -3, -2)
+
+
 def torsion(g: HermitianField) -> TorsionField:
     if not g.metric:
         g = g.as_metric()
-    dg = metric_derivatives(g)
-    antisym = dg - np.swapaxes(dg, -3, -2)
+    antisym = _antisymmetrized_derivatives(g)
     ginv = inverse(g)
     t = np.einsum("...lk,...ijl->...kij", ginv, antisym)
     return TorsionField(g.grid, t)
@@ -145,38 +150,23 @@ def _apply_weight_operator(vvals: np.ndarray, planes: tuple, grid: GridSpec) -> 
     return _irfftn(acc, grid.shape)
 
 
-def _weight_planes(g: HermitianField) -> tuple:
-    return coefficient_planes(_weight_coefficient_fields(g))
-
-
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
     """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|."""
-    r = _apply_weight_operator(v.values, _weight_planes(g), g.grid)
+    planes = coefficient_planes(_weight_coefficient_fields(g))
+    r = _apply_weight_operator(v.values, planes, g.grid)
     return float(np.max(np.abs(r)) / np.max(np.abs(v.values)))
-
-
-def _torsion_trace(ginv: np.ndarray, antisym: np.ndarray) -> np.ndarray:
-    """sum_j T^j_ji over i from the antisymmetrized metric derivatives
-    antisym[..., a, b, c] = d_a g_{bc-bar} - d_b g_{ac-bar}; equals
-    ``torsion(g).trace()`` without building the torsion tensor."""
-    n = ginv.shape[-1]
-    out = np.zeros(ginv.shape[:-1], dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            if j != i:  # antisym[..., i, i, :] vanishes
-                for l in range(n):
-                    out[..., i] += ginv[..., l, j] * antisym[..., j, i, l]
-    return out
 
 
 def defects(g: HermitianField) -> MetricDefects:
     g = g.as_metric()
-    dg = metric_derivatives(g)
-    antisym = dg - np.swapaxes(dg, -3, -2)
+    antisym = _antisymmetrized_derivatives(g)
     kaehler = float(np.max(np.abs(antisym)))
-    balanced = float(np.max(np.abs(_torsion_trace(inverse(g), antisym))))
+    # torsion(g).trace() without the torsion tensor
+    trace = np.einsum("...jil,...lj->...i", antisym, inverse(g), optimize=True)
+    balanced = float(np.max(np.abs(trace)))
     ones = np.ones(g.grid.shape)
-    gaud = float(np.max(np.abs(_apply_weight_operator(ones, _weight_planes(g), g.grid))))
+    planes = coefficient_planes(_weight_coefficient_fields(g))
+    gaud = float(np.max(np.abs(_apply_weight_operator(ones, planes, g.grid))))
     return MetricDefects(kaehler, balanced, gaud)
 
 

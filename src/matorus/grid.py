@@ -461,18 +461,13 @@ def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Spectral only. Real input takes one real forward transform and n^2
     real inverse ones from ``real_hessian_symbols``; the result is exactly
-    Hermitian. Complex input takes one complex forward transform and n^2
-    complex inverse ones.
+    Hermitian. Complex input is split into its real and imaginary parts.
     """
     _require_spectral(grid, "the complex Hessian")
+    if np.iscomplexobj(values):
+        return complex_hessian(values.real, grid) + 1j * complex_hessian(values.imag, grid)
     n, shape = grid.complex_dim, grid.shape
     out = np.empty(shape + (n, n), dtype=np.complex128)
-    if np.iscomplexobj(values):
-        spec = _fftn(values)
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = _ifftn(spec * hessian_symbol(grid, i, j))
-        return out
     spec = _rfftn(values)
     symbols = iter(real_hessian_symbols(grid))
     for i in range(n):

@@ -37,8 +37,10 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
         if "h" not in spec:
             raise ConfigError("conformal metric spec needs an 'h' expression")
         h = sample_expression(spec["h"], grid)
-        eye = np.eye(grid.complex_dim)
-        return HermitianField(grid, np.exp(h.values)[..., None, None] * eye, metric=True)
+        n = grid.complex_dim
+        vals = np.zeros(grid.shape + (n, n), dtype=np.complex128)
+        vals[..., range(n), range(n)] = np.exp(h.values)[..., None]
+        return HermitianField(grid, vals, metric=True)
     if kind == "kaehler_perturbation":
         if "f" not in spec:
             raise ConfigError("kaehler_perturbation metric spec needs an 'f' expression")

@@ -17,7 +17,6 @@ import scipy.fft as sfft
 from matorus.geometry import (
     _apply_weight_operator,
     _weight_coefficient_fields,
-    _weight_planes,
     defects,
     metric_derivatives,
     torsion,
@@ -162,7 +161,7 @@ def test_defects_differentiates_the_metric_once(grid8, rng, count_transforms):
 def test_weight_operator_apply_is_real_transforms_only(n, rng, count_transforms):
     grid = GridSpec(n, 8)
     g = random_metric(grid, rng)
-    planes = _weight_planes(g)
+    planes = coefficient_planes(_weight_coefficient_fields(g))
     count_transforms.clear()
     _apply_weight_operator(np.ones(grid.shape), planes, grid)
     assert count_transforms == {"rfftn": n * n, "irfftn": 1}
