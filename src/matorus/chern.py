@@ -93,19 +93,14 @@ def _poisson_solve_gauduchon(
     config: SolverConfig,
 ) -> np.ndarray:
     """Solve laplacian_G f = rhs in the mean-zero gauge of g_G's measure."""
-    grid = g_g.grid
-    n = grid.complex_dim
-    ginv = inverse(g_g)
-    inv_mean = ginv.reshape(-1, n, n).mean(axis=0)
-    planes = laplacian_planes(ginv)
     w = measure_weights(g_g)
     f, _ = solve_constrained(
-        lambda eta: laplacian(planes, eta, grid),
+        laplacian,
+        laplacian_planes(inverse(g_g)),
         rhs=rhs,
         weights=w,
         constraint_rhs=0.0,
-        grid=grid,
-        coeff_mean=inv_mean.T,
+        grid=g_g.grid,
         rtol=config.linear_tol,
         maxiter=config.linear_maxiter,
     )

@@ -33,7 +33,14 @@ from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
 from .fieldio import _write_atomic, deserialize, serialize
 from .geometry import defects, gauduchon_metric, gauduchon_residual, ricci_form
-from .grid import GridSpec, HermitianField, ScalarField, complex_hessian, min_eigenvalue
+from .grid import (
+    GridSpec,
+    HermitianField,
+    ScalarField,
+    complex_hessian,
+    constant_field,
+    min_eigenvalue,
+)
 from .jets import run_identity_fuzz
 from .problems import metric_from_spec, rhs_from_spec
 from .solver import SolveResult, SolverConfig, continuity_solve
@@ -163,7 +170,6 @@ def _task_gauduchon(cfg: RunConfig, out: str) -> dict:
     serialize(u, os.path.join(out, "u.field"))
     serialize(v, os.path.join(out, "v.field"))
     d = defects(g)
-    dg = defects(g_g)
     return {
         "task": "gauduchon",
         "residual": gauduchon_residual(g, v),
@@ -173,7 +179,7 @@ def _task_gauduchon(cfg: RunConfig, out: str) -> dict:
             "balanced": d.balanced_defect,
             "gauduchon": d.gauduchon_defect,
         },
-        "output_gauduchon_defect": dg.gauduchon_defect,
+        "output_gauduchon_defect": gauduchon_residual(g_g, constant_field(cfg.grid, 1.0)),
         "u_file": "u.field",
         "v_file": "v.field",
     }

@@ -17,7 +17,6 @@ largest trial exponent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ def exp_moment_constant(phi: np.ndarray, weights: np.ndarray, alpha: float) -> f
     """R_alpha = -inf phi - (1/alpha) log E[exp(-alpha phi)], >= 0."""
     shifted = phi - phi.min()
     moment = float((weights * np.exp(-alpha * shifted)).sum())
-    return -np.log(moment) / alpha + 0.0
+    return float(-np.log(moment) / alpha) + 0.0
 
 
 def levelset_measure(phi: np.ndarray, weights: np.ndarray, c1: float) -> float:
@@ -182,10 +181,3 @@ def sweep_csv_rows(entries) -> list:
                 )
     return rows
 
-
-def write_sweep_csv(path, entries) -> None:
-    rows = sweep_csv_rows(entries)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS, restval="")
-        writer.writeheader()
-        writer.writerows(rows)

@@ -8,20 +8,15 @@ Conventions, with G the coefficient matrix g_{ij-bar} of the metric form:
     Ricci form    R_{kl-bar} = -(1/2pi) d_k d_lbar log det g
 
 The conformal weight solve finds v > 0 with d dbar (v omega^{n-1}) = 0,
-the distinguished representative in the conformal class; the kernel is
-obtained by one deflated Krylov solve in the mean-zero complement
-(``linsolve.solve_constrained``), preconditioned by a frozen-coefficient
-spectral symbol. The weight operator is
-
-    M(v) = irfftn( sum_k S_k * rfftn(v * C_k) ),
-
-with S_k the real half-spectrum Hessian symbols cached per grid
-(``grid.real_hessian_symbols``) and C_k the real coefficient planes
-C_pp, 2 Re C_pm and -2 Im C_pm (p < m) of the fields C
-(``grid.coefficient_planes``), built once per ``gauduchon_weight``,
-``gauduchon_residual`` or ``defects`` call: n^2 real forward transforms
-and one real inverse one per apply. ``defects`` differentiates the
-metric once for the Kahler defect and the torsion trace.
+the distinguished representative in the conformal class. The coefficient
+of d dbar (v omega^{n-1}) is sum_pm d_p d_mbar (v C[p, m]) for fields C
+quadratic in g (``_weight_coefficient_fields``): the adjoint Laplacian
+``linsolve.laplacian_adjoint`` with the coefficient planes of C
+(``grid.coefficient_planes``), built once per ``gauduchon_weight`` or
+``gauduchon_residual`` call. The kernel is obtained by one deflated
+Krylov solve in the mean-zero complement (``linsolve.solve_constrained``).
+``defects`` differentiates the metric once for the Kahler defect and the
+torsion trace, and takes its Gauduchon defect from ``gauduchon_residual``.
 
 Every differential operator here is spectral and raises
 GridMismatchError on a central-difference grid. For n=2 wedge pairings
@@ -48,17 +43,15 @@ from .grid import (
     _fftn,
     _holo_symbols,
     _ifftn,
-    _irfftn,
     _require_spectral,
-    _rfftn,
     coefficient_planes,
     complex_hessian,
+    constant_field,
     det,
     integrate,
     inverse,
-    real_hessian_symbols,
 )
-from .linsolve import laplacian, laplacian_planes, solve_constrained
+from .linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 
 
 def _levi_civita3() -> np.ndarray:
@@ -138,22 +131,10 @@ def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
     return np.einsum("pac,mbd,...ab,...cd->...pm", eps, eps, gv, gv, optimize=True)
 
 
-def _apply_weight_operator(vvals: np.ndarray, planes: tuple, grid: GridSpec) -> np.ndarray:
-    """Coefficient of d dbar (v omega^{n-1}) for real grid values v, from
-    the coefficient planes of the fields C (``grid.coefficient_planes``):
-    n^2 real forward transforms and one real inverse one."""
-    _require_spectral(grid, "the conformal-weight operator")
-    symbols = real_hessian_symbols(grid)
-    acc = symbols[0] * _rfftn(vvals * planes[0])
-    for coeff, symbol in zip(planes[1:], symbols[1:]):
-        acc += symbol * _rfftn(vvals * coeff)
-    return _irfftn(acc, grid.shape)
-
-
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
     """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|."""
     planes = coefficient_planes(_weight_coefficient_fields(g))
-    r = _apply_weight_operator(v.values, planes, g.grid)
+    r = laplacian_adjoint(planes, v.values, g.grid)
     return float(np.max(np.abs(r)) / np.max(np.abs(v.values)))
 
 
@@ -164,9 +145,7 @@ def defects(g: HermitianField) -> MetricDefects:
     # torsion(g).trace() without the torsion tensor
     trace = np.einsum("...jil,...lj->...i", antisym, inverse(g), optimize=True)
     balanced = float(np.max(np.abs(trace)))
-    ones = np.ones(g.grid.shape)
-    planes = coefficient_planes(_weight_coefficient_fields(g))
-    gaud = float(np.max(np.abs(_apply_weight_operator(ones, planes, g.grid))))
+    gaud = gauduchon_residual(g, constant_field(g.grid, 1.0))
     return MetricDefects(kaehler, balanced, gaud)
 
 
@@ -205,39 +184,35 @@ def gauduchon_weight(
     computed kernel vector is not strictly positive (a sign the grid is
     too coarse: the continuum kernel contains a positive element).
 
-    The discretized operator M(v) annihilates the flat grid mean exactly,
-    so it has an exact one-dimensional kernel with a representative of
-    nonzero mean. The kernel is found by one deflated solve in the
-    mean-zero complement, v = 1 + xi with M(xi) = -M(1): the bordered
-    solve pins the flat mean of xi to zero, and since M(xi) = -M(1) lies
-    in the range of M (the mean-zero functions) the border unknown comes
-    back zero.
+    The discretized operator M (``laplacian_adjoint``) annihilates the
+    flat grid mean exactly, so it has an exact one-dimensional kernel with
+    a representative of nonzero mean. The kernel is found by one deflated
+    solve in the mean-zero complement, v = 1 + xi with M(xi) = -M(1): the
+    bordered solve pins the flat mean of xi to zero, and since M(xi) =
+    -M(1) lies in the range of M (the mean-zero functions) the border
+    unknown comes back zero.
     """
     g = g.as_metric()
     grid = g.grid
-    n, shape = grid.complex_dim, grid.shape
-    cfields = _weight_coefficient_fields(g)
-    planes = coefficient_planes(cfields)
+    shape = grid.shape
+    planes = coefficient_planes(_weight_coefficient_fields(g))
 
-    def op(vvals):
-        return _apply_weight_operator(vvals, planes, grid)
-
-    rhs = -op(np.ones(shape))
+    rhs = -laplacian_adjoint(planes, np.ones(shape), grid)
     if float(np.max(np.abs(rhs))) <= 1e-14:
         return _finish_weight(g, np.ones(shape))
 
     xi, _ = solve_constrained(
-        op,
+        laplacian_adjoint,
+        planes,
         rhs=rhs,
         weights=np.full(shape, 1.0 / grid.npoints),
         constraint_rhs=0.0,
         grid=grid,
-        coeff_mean=cfields.reshape(-1, n, n).mean(axis=0),
         rtol=inner_rtol,
         maxiter=inner_maxiter,
     )
     v = 1.0 + xi
-    resid = float(np.max(np.abs(op(v))) / np.max(np.abs(v)))
+    resid = float(np.max(np.abs(laplacian_adjoint(planes, v, grid))) / np.max(np.abs(v)))
     if resid > contract_tol:
         raise LinearSolverStalled(
             f"conformal-weight solve stalled at relative residual {resid:.3e}"

@@ -9,9 +9,11 @@ The equation solved for a pair (phi, b), b a scalar coupled to phi, is
 with Hess the complex Hessian. Newton's method linearizes the left side
 to the canonical Laplacian of the current solution metric; each step
 solves the bordered system [laplacian, -1; constraint-row, 0] where the
-constraint pins the conformal-weight-weighted mean of phi to zero. On
-output phi is re-normalized to sup phi = 0 (the equation is invariant
-under constant shifts of phi, so b is unchanged by the shift).
+constraint pins the conformal-weight-weighted mean of phi to zero, by
+``linsolve.solve_constrained`` with the ``laplacian`` kernel and the
+planes of the inverse solution metric. On output phi is re-normalized
+to sup phi = 0 (the equation is invariant under constant shifts of phi,
+so b is unchanged by the shift).
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
 warm-starting each Newton solve from the previous step. The first step is
@@ -25,11 +27,16 @@ sup-norm of the current log residual. A forcing term of order |r| keeps
 Newton's quadratic convergence (Dembo, Eisenstat and Steihaug, SIAM J.
 Numer. Anal. 19, 1982); the square keeps the final residual far below
 ``newton_tol``.
+
+``SolverConfig`` takes finite numbers > 0 for its tolerances, steps and
+damping and integers >= 1 for its iteration counts, never booleans.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -68,8 +75,13 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("newton_tol", "t_step_initial", "t_step_min", "damping", "linear_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"solver config field {name} must be > 0")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ConfigError(f"solver config field {name} must be a finite number > 0")
+        for name in ("max_newton_iters", "linear_maxiter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ConfigError(f"solver config field {name} must be an integer >= 1")
         if not (self.t_step_min <= self.t_step_initial <= 1.0):
             raise ConfigError("need t_step_min <= t_step_initial <= 1")
         if self.damping >= 1.0:
@@ -100,11 +112,6 @@ class SolveResult:
     @property
     def newton_iters(self) -> int:
         return max(len(self.residual_history) - 1, 0)
-
-
-def _log_det(mats: np.ndarray, grid) -> np.ndarray:
-    h = HermitianField(grid, mats)
-    return np.log(det(h))
 
 
 def ma_log_residual(g: HermitianField, phi: ScalarField, F: ScalarField, b: float) -> ScalarField:
@@ -156,7 +163,7 @@ def newton_solve(
         phi0, b = initial
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
 
-    logdet_g = _log_det(g.values, grid)
+    logdet_g = np.log(det(g))
     gp = g.values + complex_hessian(phi, grid)
     emin = _eigmin_grid(gp, n)
     emin_cur = float(emin.min())
@@ -167,7 +174,8 @@ def newton_solve(
 
     history = []
     for _ in range(config.max_newton_iters):
-        residual = _log_det(gp, grid) - logdet_g - F_target.values - float(b)
+        gp_field = HermitianField(grid, gp)
+        residual = np.log(det(gp_field)) - logdet_g - F_target.values - float(b)
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
         if res_norm <= config.newton_tol:
@@ -181,16 +189,13 @@ def newton_solve(
                 residual_history=history,
             )
 
-        ginv_p = inverse(HermitianField(grid, gp))
-        inv_mean = ginv_p.reshape(-1, n, n).mean(axis=0)
-        planes = laplacian_planes(ginv_p)
         eta, db = solve_constrained(
-            lambda eta: laplacian(planes, eta, grid),
+            laplacian,
+            laplacian_planes(inverse(gp_field)),
             rhs=-residual,
             weights=w,
             constraint_rhs=-float((w * phi).sum()),
             grid=grid,
-            coeff_mean=inv_mean.T,
             rtol=max(config.linear_tol, min(0.1, res_norm**2)),
             maxiter=config.linear_maxiter,
         )

@@ -5,8 +5,9 @@ import pytest
 
 from matorus.cli import main
 from matorus.fieldio import deserialize, serialize
+from matorus.geometry import defects, gauduchon_metric
 from matorus.grid import GridSpec, ScalarField
-from matorus.problems import random_trig_field
+from matorus.problems import metric_from_spec, random_trig_field
 
 
 def write_config(tmp_path, name, obj):
@@ -297,4 +298,64 @@ def test_central_difference_grid_rejected_by_spectral_tasks(tmp_path, capsys, ta
     assert run_cli([task, "--config", cfg]) == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "grid_mismatch"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_gauduchon_output_defect_is_the_weight_residual_of_one(tmp_path, count_transforms):
+    assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
+    # Only the input metric is differentiated: one metric_derivatives call,
+    # one complex forward transform per matrix entry.
+    assert count_transforms["fftn"] == 2 * 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    g_g, _, _ = gauduchon_metric(
+        metric_from_spec(GridSpec(2, 8), {"kind": "conformal", "h": "0.25*cos(2*pi*x2)"})
+    )
+    assert summary["output_gauduchon_defect"] == defects(g_g).gauduchon_defect
+
+
+def _assert_numeric_cells(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        for column, cell in zip(header, line.split(",")):
+            if column != "error" and cell:
+                float(cell)
+
+
+def test_csv_cells_are_numbers(tmp_path, rng):
+    sweep_cfg = write_config(
+        tmp_path,
+        "sweep.json",
+        {
+            "grid": BASE_GRID,
+            "metric": {"kind": "flat"},
+            "rhs": {"expression": "0.3*cos(2*pi*x1)"},
+            "scales": [1.0],
+        },
+    )
+    assert run_cli(["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "s")]) == 0
+    _assert_numeric_cells(tmp_path / "s" / "sweep.csv")
+
+    grid = GridSpec(2, 8)
+    phi = random_trig_field(grid, rng, amplitude=0.01, bandwidth=1)
+    serialize(ScalarField(grid, phi.values - phi.values.max()), tmp_path / "phi.field")
+    report_cfg = write_config(
+        tmp_path,
+        "r.json",
+        {"grid": BASE_GRID, "metric": {"kind": "flat"}, "phi": {"path": str(tmp_path / "phi.field")}},
+    )
+    assert run_cli(["report", "--config", report_cfg, "--out", str(tmp_path / "r")]) == 0
+    _assert_numeric_cells(tmp_path / "r" / "report.csv")
+
+
+def test_invalid_solver_value_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "bad.json",
+        {"grid": BASE_GRID, "metric": {"kind": "flat"}, "solver": {"max_newton_iters": 0}},
+    )
+    rc = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
     assert not (tmp_path / "out" / "summary.json").exists()

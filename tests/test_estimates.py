@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matorus import cli
 from matorus.estimates import (
     ALPHA_GRID,
     SWEEP_CSV_COLUMNS,
@@ -9,7 +10,6 @@ from matorus.estimates import (
     report,
     sweep,
     sweep_csv_rows,
-    write_sweep_csv,
 )
 from matorus.geometry import canonical_laplacian, trace_pair
 from matorus.grid import (
@@ -136,8 +136,8 @@ class TestSweep:
         assert len(rows) == 2 * len(ALPHA_GRID) * 4
         assert all(set(r) <= set(SWEEP_CSV_COLUMNS) for r in rows)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(p1, entries)
-        write_sweep_csv(p2, entries)
+        cli._write_csv(p1, SWEEP_CSV_COLUMNS, rows)
+        cli._write_csv(p2, SWEEP_CSV_COLUMNS, rows)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == ",".join(SWEEP_CSV_COLUMNS)

@@ -1,0 +1,55 @@
+"""The operator layer on its own: the Laplacian kernel and its adjoint
+with the same coefficient planes, and the bordered solve with either
+kernel on manufactured solutions."""
+
+import numpy as np
+import pytest
+
+from matorus.geometry import _weight_coefficient_fields
+from matorus.grid import GridSpec, coefficient_planes, inverse, measure_weights
+from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
+from matorus.problems import random_metric, random_trig_field
+
+# Each kernel with the planes its callers give it: the inverse metric for
+# the Laplacian, the conformal-weight fields for its adjoint.
+KERNELS = {
+    "laplacian": (laplacian, lambda g: laplacian_planes(inverse(g))),
+    "laplacian_adjoint": (
+        laplacian_adjoint,
+        lambda g: coefficient_planes(_weight_coefficient_fields(g)),
+    ),
+}
+
+
+@pytest.mark.parametrize("planes_of", sorted(KERNELS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_is_the_l2_adjoint_of_the_laplacian(n, planes_of):
+    grid = GridSpec(n, 8)
+    rng = np.random.default_rng(909 + n)
+    planes = KERNELS[planes_of][1](random_metric(grid, rng))
+    # Grid noise, not trigonometric polynomials: a few low modes are
+    # orthogonal to each other and make both pairings vanish.
+    f = rng.standard_normal(grid.shape)
+    v = rng.standard_normal(grid.shape)
+    lhs = float(np.sum(laplacian_adjoint(planes, v, grid) * f))
+    rhs = float(np.sum(v * laplacian(planes, f, grid)))
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@pytest.mark.parametrize("N", [8, 12])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_bordered_solve_recovers_manufactured_solution(kernel, N):
+    grid = GridSpec(2, N)
+    rng = np.random.default_rng(4496 + N)
+    g = random_metric(grid, rng)
+    apply, planes_of = KERNELS[kernel]
+    planes = planes_of(g)
+    w = measure_weights(g)
+    eta = random_trig_field(grid, rng).values
+    beta = 0.37
+    rhs = apply(planes, eta, grid) - beta
+    got_eta, got_beta = solve_constrained(
+        apply, planes, rhs, w, float((w * eta).sum()), grid
+    )
+    assert float(np.max(np.abs(got_eta - eta))) <= 1e-9
+    assert abs(got_beta - beta) <= 1e-9

@@ -47,6 +47,32 @@ def test_solver_config_validation():
         SolverConfig(damping=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_newton_iters", 0),
+        ("max_newton_iters", -1),
+        ("max_newton_iters", 2.5),
+        ("max_newton_iters", True),
+        ("linear_maxiter", 0),
+        ("damping", float("nan")),
+        ("newton_tol", float("nan")),
+        ("linear_tol", float("nan")),
+        ("linear_tol", float("inf")),
+        ("linear_tol", True),
+        ("newton_tol", "1e-10"),
+    ],
+)
+def test_solver_config_rejects_invalid_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_integers_for_numbers():
+    cfg = SolverConfig(t_step_initial=1, max_newton_iters=np.int64(5))
+    assert cfg.t_step_initial == 1 and cfg.max_newton_iters == 5
+
+
 class TestLogResidual:
     def test_trivial_zero(self, grid8):
         g = identity_metric(grid8)
