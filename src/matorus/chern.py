@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import ConstraintViolated, GridMismatchError, NotClosedError
 from .geometry import (
+    _antisymmetrized_derivatives,
     form_norm_sq,
     gauduchon_metric,
-    metric_derivatives,
     pair_density,
     ricci_form,
     wedge_integral,
@@ -61,8 +61,7 @@ class PrescriptionResult:
 
 def closedness_defect(psi: HermitianField) -> float:
     """Sup-norm of the coefficients of d(psi)."""
-    dpsi = metric_derivatives(psi)
-    return float(np.max(np.abs(dpsi - np.swapaxes(dpsi, -3, -2))))
+    return float(np.max(np.abs(_antisymmetrized_derivatives(psi))))
 
 
 def constraint_integral(

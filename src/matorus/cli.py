@@ -67,6 +67,12 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _require_int(value, name: str):
+    # JSON integers only; type() also turns away bool, a subclass of int
+    _require(type(value) is int, f"config field {name!r} must be an integer")
+    return value
+
+
 def load_config(path: str, task: str, seed_override=None, out_override=None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -84,22 +90,18 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
         )
     gspec = raw.get("grid")
     _require(isinstance(gspec, dict), "config field 'grid' must be an object")
-    try:
-        grid = GridSpec(
-            complex_dim=int(gspec.get("complex_dim", 2)),
-            points_per_axis=int(gspec.get("points_per_axis", 16)),
-            diff_scheme=gspec.get("diff_scheme", "fourier_collocation"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}") from exc
+    grid = GridSpec(
+        complex_dim=_require_int(gspec.get("complex_dim", 2), "grid.complex_dim"),
+        points_per_axis=_require_int(gspec.get("points_per_axis", 16), "grid.points_per_axis"),
+        diff_scheme=gspec.get("diff_scheme", "fourier_collocation"),
+    )
     solver_raw = raw.get("solver", {})
     _require(isinstance(solver_raw, dict), "config field 'solver' must be an object")
     try:
         solver = SolverConfig(**solver_raw)
     except TypeError as exc:
         raise ConfigError(f"bad solver config: {exc}") from exc
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "config field 'seed' must be an integer")
+    seed = _require_int(raw.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
     out = out_override or raw.get("output_dir", "out")

@@ -9,24 +9,30 @@ Conventions, with G the coefficient matrix g_{ij-bar} of the metric form:
 
 The conformal weight solve finds v > 0 with d dbar (v omega^{n-1}) = 0,
 the distinguished representative in the conformal class. The coefficient
-of d dbar (v omega^{n-1}) is sum_pm d_p d_mbar (v C[p, m]) for fields C
-quadratic in g (``_weight_coefficient_fields``): the adjoint Laplacian
-``linsolve.laplacian_adjoint`` with the coefficient planes of C
-(``grid.coefficient_planes``), built once per ``gauduchon_weight`` or
-``gauduchon_residual`` call. The kernel is obtained by one deflated
-Krylov solve in the mean-zero complement (``linsolve.solve_constrained``).
-``defects`` differentiates the metric once for the Kahler defect and the
-torsion trace, and takes its Gauduchon defect from ``gauduchon_residual``.
+of d dbar (v omega^{n-1}) is sum_pm d_p d_mbar (v C[p, m]) with
+C = (n-1)! adj(g)^T (``_weight_coefficient_fields``, from
+``grid._adjugate``). The coefficient of omega^{n-1} on the form
+complementary to dz^p dzbar^m contracts two Levi-Civita symbols with n-1
+factors of g; each of the (n-1)! orderings of the factors gives the same
+cofactor of g, adj(g)[m, p]. The operator is the adjoint Laplacian
+``linsolve.laplacian_adjoint`` with the
+coefficient planes of C (``grid.coefficient_planes``), built once per
+``gauduchon_weight`` or ``gauduchon_residual`` call. The kernel is
+obtained by one deflated Krylov solve in the mean-zero complement
+(``linsolve.solve_constrained``). ``defects`` differentiates the metric
+once for the Kahler defect and the torsion trace, and takes its Gauduchon
+defect from ``gauduchon_residual``.
 
 Every differential operator here is spectral and raises
 GridMismatchError on a central-difference grid. For n=2 wedge pairings
-of (1,1)-forms reduce to the mixed determinant ``pair_density``;
-``wedge_integral`` shares the volume normalization of ``grid.integrate``
-(flat identity metric has volume 1).
+of (1,1)-forms reduce to the mixed determinant ``pair_density``,
+tr(adj(a) b); ``wedge_integral`` shares the volume normalization of
+``grid.integrate`` (flat identity metric has volume 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,7 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
+    _adjugate,
     _fftn,
     _holo_symbols,
     _ifftn,
@@ -52,13 +59,6 @@ from .grid import (
     inverse,
 )
 from .linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
-
-
-def _levi_civita3() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
-    return eps
 
 
 def metric_derivatives(g: HermitianField) -> np.ndarray:
@@ -118,17 +118,10 @@ class MetricDefects:
 
 
 def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
-    """Fields C[p, m] with d dbar (v omega^{n-1}) ~ sum_pm d_p d_mbar (v C[p,m])."""
-    gv = g.values
-    if g.grid.complex_dim == 2:
-        c = np.empty_like(gv)
-        c[..., 0, 0] = gv[..., 1, 1]
-        c[..., 1, 1] = gv[..., 0, 0]
-        c[..., 0, 1] = -gv[..., 1, 0]
-        c[..., 1, 0] = -gv[..., 0, 1]
-        return c
-    eps = _levi_civita3()
-    return np.einsum("pac,mbd,...ab,...cd->...pm", eps, eps, gv, gv, optimize=True)
+    """C = (n-1)! adj(g)^T, so d dbar (v omega^{n-1}) ~ sum_pm d_p d_mbar (v C[p,m])."""
+    c = np.swapaxes(_adjugate(g.values), -1, -2)
+    c *= math.factorial(g.grid.complex_dim - 1)
+    return c
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
@@ -243,21 +236,14 @@ def gauduchon_metric(g: HermitianField) -> tuple:
 
 
 def pair_density(a: HermitianField, b: HermitianField) -> np.ndarray:
-    """Mixed determinant of two (1,1)-form coefficient fields (n=2 only).
+    """Mixed determinant tr(adj(a) b) of two (1,1)-form coefficient fields, n=2.
 
     pair_density(a, a) = 2 det a, and a wedge b = (pair_density / 2) of
     the volume normalization used by ``wedge_integral``.
     """
     if a.grid.complex_dim != 2:
         raise GridMismatchError("pair_density is defined for n=2 only")
-    av, bv = a.values, b.values
-    d = (
-        av[..., 0, 0] * bv[..., 1, 1]
-        + av[..., 1, 1] * bv[..., 0, 0]
-        - av[..., 0, 1] * bv[..., 1, 0]
-        - av[..., 1, 0] * bv[..., 0, 1]
-    )
-    return d.real
+    return np.einsum("...ij,...ji->...", _adjugate(a.values), b.values).real
 
 
 def wedge_integral(a: HermitianField, b: HermitianField) -> float:

@@ -32,7 +32,9 @@ on first use; every second-order operator with Hermitian coefficients
 acts on real fields through them and the matching real coefficient
 planes (``coefficient_planes``).
 
-Fields are immutable after construction; all pointwise kernels are pure.
+Fields are immutable after construction; all pointwise kernels are pure
+and closed form. ``_adjugate`` is the one cofactor kernel (``inverse``,
+the coefficient fields of omega^{n-1}, the n=2 wedge pairing).
 The FFT backend (scipy.fft) keeps an internal plan cache that is safe for
 concurrent read-only use; the worker count is taken from the MA_THREADS
 environment variable.
@@ -382,36 +384,39 @@ def _det3(m):
     )
 
 
+def _det(m):
+    return _det2(m) if m.shape[-1] == 2 else _det3(m)
+
+
 def det(h: HermitianField) -> np.ndarray:
     """Pointwise determinant (real for Hermitian matrices)."""
-    m = h.values
-    d = _det2(m) if h.grid.complex_dim == 2 else _det3(m)
-    return d.real
+    return _det(h.values).real
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """Pointwise adjugate of Hermitian 2 x 2 or 3 x 3 matrices,
+    adj(m) m = det(m) I. At n=3 the lower cofactors are the conjugates of
+    the upper ones, since the adjugate of a Hermitian matrix is Hermitian.
+    """
+    adj = np.empty_like(m)
+    if m.shape[-1] == 2:
+        adj[..., 0, 0] = m[..., 1, 1]
+        adj[..., 1, 1] = m[..., 0, 0]
+        adj[..., 0, 1] = -m[..., 0, 1]
+        adj[..., 1, 0] = -m[..., 1, 0]
+        return adj
+    for i in range(3):
+        for j in range(i, 3):
+            r, s, p, q = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            adj[..., i, j] = m[..., r, p] * m[..., s, q] - m[..., r, q] * m[..., s, p]
+            if i != j:
+                adj[..., j, i] = np.conj(adj[..., i, j])
+    return adj
 
 
 def inverse(h: HermitianField) -> np.ndarray:
-    """Pointwise closed-form inverse (n <= 3), returned as a raw array."""
-    m = h.values
-    if h.grid.complex_dim == 2:
-        d = _det2(m)
-        inv = np.empty_like(m)
-        inv[..., 0, 0] = m[..., 1, 1]
-        inv[..., 1, 1] = m[..., 0, 0]
-        inv[..., 0, 1] = -m[..., 0, 1]
-        inv[..., 1, 0] = -m[..., 1, 0]
-        return inv / d[..., None, None]
-    d = _det3(m)
-    inv = np.empty_like(m)
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = (
-                m[..., r[0], c[0]] * m[..., r[1], c[1]]
-                - m[..., r[0], c[1]] * m[..., r[1], c[0]]
-            )
-            inv[..., i, j] = (-1) ** (i + j) * minor
-    return inv / d[..., None, None]
+    """Pointwise inverse adj(h) / det(h), returned as a raw array."""
+    return _adjugate(h.values) / _det(h.values)[..., None, None]
 
 
 def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:

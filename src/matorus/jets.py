@@ -21,6 +21,7 @@ coordinate identities that hold when the torsion trace vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,10 +166,7 @@ def trace_inequality_slack(g: np.ndarray, gp: np.ndarray) -> tuple:
     tr = np.einsum("...ij,...ji->...", ginv, gp).real
     tr_rev = np.einsum("...ij,...ji->...", gpinv, g).real
     ratio = (np.linalg.det(gp) / np.linalg.det(g)).real
-    fact = 1.0
-    for k in range(2, n):
-        fact *= k
-    rhs = tr_rev ** (n - 1) * ratio / fact
+    rhs = tr_rev ** (n - 1) * ratio / math.factorial(n - 1)
     return tr, rhs, rhs - tr
 
 

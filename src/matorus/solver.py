@@ -22,11 +22,14 @@ warm-starting each Newton solve from the previous step. The first step is
 ``SolveResult.rejected``).
 
 Each Newton correction is an inexact solve: LGMRES runs to the relative
-tolerance min(0.1, |r|^2), floored at ``linear_tol``, where |r| is the
-sup-norm of the current log residual. A forcing term of order |r| keeps
-Newton's quadratic convergence (Dembo, Eisenstat and Steihaug, SIAM J.
-Numer. Anal. 19, 1982); the square keeps the final residual far below
-``newton_tol``.
+tolerance max(linear_tol, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
+|r| is the sup-norm of the current log residual. A forcing term of order
+|r| keeps Newton's quadratic convergence (Dembo, Eisenstat and Steihaug,
+SIAM J. Numer. Anal. 19, 1982). The last term stops each solve near the
+absolute accuracy newton_tol / 10: close to the solution a relative
+tolerance alone asks for less than rounding and LGMRES stalls (Eisenstat
+and Walker, SIAM J. Sci. Comput. 17, 1996). The final residual is ~1e-11
+rather than ~1e-16, still below ``newton_tol``.
 
 ``SolverConfig`` takes finite numbers > 0 for its tolerances, steps and
 damping and integers >= 1 for its iteration counts, never booleans.
@@ -196,7 +199,9 @@ def newton_solve(
             weights=w,
             constraint_rhs=-float((w * phi).sum()),
             grid=grid,
-            rtol=max(config.linear_tol, min(0.1, res_norm**2)),
+            rtol=max(
+                config.linear_tol, min(0.1, res_norm**2), 0.1 * config.newton_tol / res_norm
+            ),
             maxiter=config.linear_maxiter,
         )
 

@@ -359,3 +359,27 @@ def test_invalid_solver_value_is_a_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "config_error"
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"grid": {"complex_dim": 2.9, "points_per_axis": 8}},
+        {"grid": {"complex_dim": 2, "points_per_axis": 12.7}},
+        {"grid": {"complex_dim": "3", "points_per_axis": 8}},
+        {"grid": {"complex_dim": True, "points_per_axis": 8}},
+        {"grid": {"complex_dim": 2, "points_per_axis": 8.0}},
+        {"seed": True},
+        {"seed": 1.5},
+        {"seed": "7"},
+    ],
+)
+def test_non_integer_grid_or_seed_is_a_config_error(tmp_path, capsys, patch):
+    cfg = write_config(
+        tmp_path, "bad.json", {"grid": BASE_GRID, "metric": {"kind": "flat"}, **patch}
+    )
+    rc = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
+    assert not (tmp_path / "out" / "summary.json").exists()

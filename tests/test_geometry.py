@@ -260,6 +260,25 @@ class TestWedge:
         g = random_metric(grid8, rng)
         assert np.max(np.abs(pair_density(g, g) - 2.0 * det(g))) < 1e-12
 
+    def test_pair_density_of_distinct_forms(self, grid8, rng):
+        # two indefinite Hermitian fields, neither a metric
+        def form():
+            m = rng.standard_normal(grid8.shape + (2, 2)) + 1j * rng.standard_normal(
+                grid8.shape + (2, 2)
+            )
+            return HermitianField(grid8, m + np.conj(np.swapaxes(m, -1, -2)))
+
+        a, b = form(), form()
+        av, bv = a.values, b.values
+        want = (
+            av[..., 0, 0] * bv[..., 1, 1]
+            + av[..., 1, 1] * bv[..., 0, 0]
+            - av[..., 0, 1] * bv[..., 1, 0]
+            - av[..., 1, 0] * bv[..., 0, 1]
+        ).real
+        assert np.min(det(a)) < 0 and np.min(det(b)) < 0
+        assert np.max(np.abs(pair_density(a, b) - want)) < 1e-12
+
     def test_wedge_integral_matches_volume(self, grid8, rng):
         g = random_metric(grid8, rng)
         assert wedge_integral(g, g) == pytest.approx(

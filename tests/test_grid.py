@@ -218,6 +218,25 @@ def test_closed_form_inverse_and_det(rng):
         emin, _ = min_eigenvalue(g)
         assert emin == pytest.approx(np.linalg.eigvalsh(g.values).min(), abs=1e-12)
 
+        # ill-conditioned: U diag(lam) U^H with U random unitary and the
+        # eigenvalues spanning 1e-6 ... 1e3 at every point. Cofactor
+        # formulas cancel terms of size lam_max^n down to det, so at each
+        # point the closed-form inverse is accurate to about
+        # eps * lam_max^n / det relative to its largest entry: eps * cond
+        # at n=2, but up to eps * cond^2 at n=3 when two eigenvalues are
+        # small. The tolerance leaves a factor of 50 on that bound.
+        shape = grid.shape + (n, n)
+        u, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        lam = np.empty(grid.shape + (n,))
+        lam[..., 0], lam[..., -1] = 1e-6, 1e3
+        lam[..., 1:-1] = 10.0 ** rng.uniform(-6, 3, grid.shape + (n - 2,))
+        m = (u * lam[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        h = HermitianField(grid, 0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+        want = np.linalg.inv(h.values)
+        err = np.max(np.abs(inverse(h) - want), axis=(-2, -1))
+        bound = 50 * np.finfo(float).eps * 1e3**n / np.prod(lam, axis=-1)
+        assert np.all(err <= bound * np.max(np.abs(want), axis=(-2, -1)))
+
 
 def test_fields_are_immutable(grid8):
     f = constant_field(grid8, 1.0)
