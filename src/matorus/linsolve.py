@@ -20,13 +20,28 @@ and a scalar beta, the bordered system
     apply(planes, eta) - beta = rhs,        <c, eta> = constraint_rhs,
 
 with c a positive weight vector; the beta column absorbs the cokernel so
-the system is square and nonsingular. Preconditioned LGMRES; the
-preconditioner is the exact spectral inverse of the bordered system with
-each plane frozen at its mean, the symbol ``frozen_symbol(grid, planes)``
-= sum_k mean(P_k) S_k, which serves a kernel and its adjoint alike. The
-callers are the Newton step (``solver.newton_solve``), the Poisson solve
-in the distinguished metric (``chern._poisson_solve_gauduchon``) and the
-conformal-weight kernel solve (``geometry.gauduchon_weight``).
+the system is square and nonsingular. Preconditioned LGMRES with the
+Concus-Golub diagonal scaling (SIAM J. Numer. Anal. 10, 1973). With
+a = (1/n) sum_i P_ii the mean of the diagonal planes, the operator is
+a * sum_k (P_k / a) D_k; the normalized planes are frozen at their
+means, which gives the scaled symbol Lbar = sum_k mean(P_k / a) S_k
+(``frozen_symbol`` of the planes P_k / a). The scalar a goes back on the
+side where the kernel has it:
+
+    laplacian          L  ~ a * Lbar,    M^-1 r = Lbar^-1(r / a),
+    laplacian_adjoint  L* ~ Lbar(a .),   M^-1 r = Lbar^-1(r) / a,
+
+and any other kernel is scaled on the left. Each M is inverted exactly
+in the bordered system: beta takes the zero mode of Lbar and the border
+row is met exactly. For a conformal metric e^h I the planes of G^-1 are
+e^-h I and the conformal-weight fields are (n-1)! e^((n-1)h) I, so both
+normalized operators have constant coefficients at phi = 0. The
+preconditioner is then the exact inverse, and the weight solve takes one
+Krylov step at every n.
+
+The callers are the Newton step (``solver.newton_solve``), the Poisson
+solve in the distinguished metric (``chern._poisson_solve_gauduchon``)
+and the conformal-weight kernel solve (``geometry.gauduchon_weight``).
 """
 
 from __future__ import annotations
@@ -78,10 +93,11 @@ def laplacian_adjoint(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.n
     return _irfftn(acc, grid.shape)
 
 
-def frozen_symbol(grid: GridSpec, planes: tuple) -> np.ndarray:
+def frozen_symbol(grid: GridSpec, planes) -> np.ndarray:
     """Half-spectrum symbol sum_k mean(planes[k]) S_k of the operator with
     its coefficients frozen at their means (real, <= 0 for a positive
-    coefficient matrix, vanishing only at the zero mode)."""
+    coefficient matrix, vanishing only at the zero mode). ``planes`` is
+    iterated once, so a generator builds one plane at a time."""
     return sum(float(np.mean(c)) * s for c, s in zip(planes, real_hessian_symbols(grid)))
 
 
@@ -96,15 +112,23 @@ def solve_constrained(
     maxiter: int = 400,
 ) -> tuple:
     """Returns (eta, beta) for the bordered system described above; ``apply``
-    is ``laplacian`` or ``laplacian_adjoint``, called as (planes, values, grid)."""
+    is ``laplacian`` or ``laplacian_adjoint``, called as (planes, values, grid),
+    and sets the side of the preconditioner's scaling."""
     shape = grid.shape
     npts = grid.npoints
-    symbol = frozen_symbol(grid, planes)
+    zero = (0,) * len(shape)
+    n = grid.complex_dim
+    # Only 1/a is kept: each normalized plane lives just long enough for
+    # its mean.
+    inv_a = n / sum(planes[:n])
+    symbol = frozen_symbol(grid, (p * inv_a for p in planes))
     # The zero mode is handled explicitly through beta and the constraint row.
-    safe = symbol.copy()
-    safe[(0,) * len(shape)] = 1.0
+    symbol[zero] = 1.0
     w = weights
     w_total = float(w.sum())
+    right = apply is laplacian_adjoint
+    mean_inv_a = float(inv_a.mean())
+    w_inv_a = float((w * inv_a).sum())
 
     def matvec(x):
         eta = x[:npts].reshape(shape)
@@ -113,16 +137,27 @@ def solve_constrained(
         out_c = float((w * eta).sum())
         return np.concatenate([out_field.ravel(), [out_c]])
 
+    def solve_frozen(r):
+        # Lbar^-1 r for mean-zero r, returned with zero mean.
+        spec = _rfftn(r) / symbol
+        spec[zero] = 0.0
+        return _irfftn(spec, shape)
+
     def precond(x):
         r = x[:npts].reshape(shape)
         s = x[npts]
-        spec = _rfftn(r)
-        mean_r = spec[(0,) * len(shape)].real / npts
-        spec = spec / safe
-        spec[(0,) * len(shape)] = 0.0
-        eta = _irfftn(spec, shape)
-        alpha = (s - float((w * eta).sum())) / w_total
-        return np.concatenate([(eta + alpha).ravel(), [-mean_r]])
+        if right:
+            # Lbar(a eta) - beta = r
+            beta = -float(r.mean())
+            u = solve_frozen(r + beta)
+            alpha = (s - float((w * u * inv_a).sum())) / w_inv_a
+            eta = (u + alpha) * inv_a
+        else:
+            # a Lbar(eta) - beta = r
+            beta = -float((r * inv_a).mean()) / mean_inv_a
+            eta = solve_frozen((r + beta) * inv_a)
+            eta += (s - float((w * eta).sum())) / w_total
+        return np.concatenate([eta.ravel(), [beta]])
 
     A = spla.LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
     M = spla.LinearOperator((npts + 1, npts + 1), matvec=precond, dtype=np.float64)

@@ -13,7 +13,9 @@ constraint pins the conformal-weight-weighted mean of phi to zero, by
 ``linsolve.solve_constrained`` with the ``laplacian`` kernel and the
 planes of the inverse solution metric. On output phi is re-normalized
 to sup phi = 0 (the equation is invariant under constant shifts of phi,
-so b is unchanged by the shift).
+so b is unchanged by the shift). A warm start is shifted the other way
+on input, to zero weighted mean, so that the first correction is not
+spent on the constant gauge shift of a sup-normalized iterate.
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
 warm-starting each Newton solve from the previous step. The first step is
@@ -165,6 +167,9 @@ def newton_solve(
     else:
         phi0, b = initial
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
+        # Start in the gauge of the constraint row, so the first correction
+        # is not spent on a constant shift.
+        phi -= float((w * phi).sum() / w.sum())
 
     logdet_g = np.log(det(g))
     gp = g.values + complex_hessian(phi, grid)

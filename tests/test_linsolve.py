@@ -1,14 +1,18 @@
 """The operator layer on its own: the Laplacian kernel and its adjoint
-with the same coefficient planes, and the bordered solve with either
-kernel on manufactured solutions."""
+with the same coefficient planes, the bordered solve with either kernel
+on manufactured solutions, and the scaled preconditioner, which inverts
+both kernels exactly for a conformal metric."""
 
 import numpy as np
 import pytest
 
-from matorus.geometry import _weight_coefficient_fields
+from matorus import linsolve
+from matorus.geometry import _weight_coefficient_fields, gauduchon_weight
 from matorus.grid import GridSpec, coefficient_planes, inverse, measure_weights
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 from matorus.problems import random_metric, random_trig_field
+
+from conftest import conformal_metric, sample
 
 # Each kernel with the planes its callers give it: the inverse metric for
 # the Laplacian, the conformal-weight fields for its adjoint.
@@ -53,3 +57,59 @@ def test_bordered_solve_recovers_manufactured_solution(kernel, N):
     )
     assert float(np.max(np.abs(got_eta - eta))) <= 1e-9
     assert abs(got_beta - beta) <= 1e-9
+
+
+@pytest.fixture
+def count_matvecs(monkeypatch) -> list:
+    """Wrap the operator closure (``matvec``) that ``solve_constrained``
+    hands to ``linsolve.spla.LinearOperator``; the returned list grows by
+    one per operator application."""
+    calls = []
+    spla = linsolve.spla
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def LinearOperator(self, shape, matvec, **kwargs):
+            if matvec.__name__ == "matvec":
+                inner = matvec
+
+                def matvec(x):
+                    calls.append(1)
+                    return inner(x)
+
+            return spla.LinearOperator(shape, matvec=matvec, **kwargs)
+
+    monkeypatch.setattr(linsolve, "spla", Counted())
+    return calls
+
+
+def _conformal(n):
+    grid = GridSpec(n, 8)
+    h = sample(
+        grid, lambda c: 0.2 * np.cos(2 * np.pi * c["x2"]) + 0.1 * np.sin(2 * np.pi * c["y1"])
+    )
+    return grid, conformal_metric(grid, h)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conformal_weight_solve_is_one_krylov_step(n, count_matvecs):
+    # C = (n-1)! e^((n-1)h) I: the scaled frozen operator is exact
+    _, g = _conformal(n)
+    gauduchon_weight(g)
+    assert 0 < len(count_matvecs) <= 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conformal_laplacian_solve_is_one_krylov_step(n, count_matvecs):
+    # G^-1 = e^-h I: the Laplacian is e^-h times the flat one
+    grid, g = _conformal(n)
+    rhs = np.random.default_rng(77 + n).standard_normal(grid.shape)
+    rhs -= rhs.mean()
+    w = measure_weights(g)
+    planes = laplacian_planes(inverse(g))
+    eta, beta = solve_constrained(laplacian, planes, rhs, w, 0.0, grid)
+    assert 0 < len(count_matvecs) <= 4
+    assert float(np.max(np.abs(laplacian(planes, eta, grid) - beta - rhs))) <= 1e-9
+    assert abs(float((w * eta).sum())) <= 1e-12

@@ -215,6 +215,21 @@ class TestNewton:
         assert res.residual_history[-1] <= SolverConfig().newton_tol
         assert abs(res.b - ref.b) <= 1e-12
 
+    def test_warm_start_is_gauge_centred(self, grid8):
+        # the converged phi is sup-normalized, far from the constraint's
+        # zero weighted mean; shifting it there on input leaves the first
+        # correction to the bump alone, which one Newton step removes
+        g = conformal_metric(grid8, sample(grid8, lambda c: 0.2 * np.cos(2 * np.pi * c["x2"])))
+        F = sample(
+            grid8, lambda c: 0.4 * np.cos(2 * np.pi * c["x1"]) + 0.3 * np.sin(2 * np.pi * c["y2"])
+        )
+        ref = continuity_solve(g, F)
+        bump = sample(grid8, lambda c: np.cos(2 * np.pi * c["x1"]))
+        res = newton_solve(g, F, initial=(ref.phi.values + 1e-8 * bump.values, ref.b))
+        assert res.residual_history[0] > SolverConfig().newton_tol
+        assert res.newton_iters == 1
+        assert abs(res.b - ref.b) <= 1e-12
+
     def test_constraint_gauge_does_not_change_solution(self, grid8, rng):
         # the weighted-mean constraint only fixes the additive gauge of
         # phi during the iteration; different positive weights give the
@@ -336,12 +351,12 @@ class TestContinuity:
         assert abs(res.b - one_step.b) <= 1e-10
 
     def test_overshoot_halves_and_is_recorded(self, grid8, rng):
-        # after t = 0.7 the doubled step is clipped to t = 1, which six
+        # after t = 0.7 the doubled step is clipped to t = 1, which five
         # Newton iterations cannot reach for this amplitude; the step
         # halves until an attempt converges and the path still ends at 1
         g = identity_metric(grid8)
         F = random_trig_field(grid8, rng, amplitude=2.0, bandwidth=1)
-        res = continuity_solve(g, F, SolverConfig(max_newton_iters=6, t_step_initial=0.1))
+        res = continuity_solve(g, F, SolverConfig(max_newton_iters=5, t_step_initial=0.1))
         ts = [t for t, _, _ in res.t_trace]
         assert res.rejected
         assert all(code == "max_iters_exceeded" for _, code in res.rejected)
