@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .errors import ConfigError, MatorusError
 from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
-from .fieldio import _write_atomic, deserialize, serialize
+from .fieldio import _write_atomic, serialize
 from .geometry import defects, gauduchon_metric, gauduchon_residual, ricci_form
 from .grid import (
     GridSpec,
@@ -42,8 +43,8 @@ from .grid import (
     min_eigenvalue,
 )
 from .jets import run_identity_fuzz
-from .problems import metric_from_spec, rhs_from_spec
-from .solver import SolveResult, SolverConfig, continuity_solve
+from .problems import field_from_spec, metric_from_spec, rhs_from_spec, spec_string
+from .solver import SolveResult, SolverConfig, nested_solve
 
 log = logging.getLogger("matorus")
 
@@ -71,6 +72,16 @@ def _require_int(value, name: str):
     # JSON integers only; type() also turns away bool, a subclass of int
     _require(type(value) is int, f"config field {name!r} must be an integer")
     return value
+
+
+def _is_finite_number(value) -> bool:
+    # JSON numbers only (type() turns away bool); a huge integer overflows
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def load_config(path: str, task: str, seed_override=None, out_override=None) -> RunConfig:
@@ -105,6 +116,7 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
     if seed_override is not None:
         seed = seed_override
     out = out_override or raw.get("output_dir", "out")
+    _require(isinstance(out, str) and out, "config field 'output_dir' must be a nonempty string")
     known = {"task", "grid", "metric", "rhs", "solver", "seed", "output_dir"}
     extras = {k: v for k, v in raw.items() if k not in known}
     return RunConfig(
@@ -141,20 +153,39 @@ def _solve_summary(result: SolveResult) -> dict:
     }
 
 
+def _coarse_summary(result: SolveResult) -> list:
+    """The coarse solves under a nested solve, finest first."""
+    out = []
+    coarse = result.coarse
+    while coarse is not None:
+        out.append({
+            "points_per_axis": coarse.phi.grid.points_per_axis,
+            "b": coarse.b,
+            "t_trace": [[t, it, r] for t, it, r in coarse.t_trace],
+        })
+        coarse = coarse.coarse
+    return out
+
+
 def _task_solve(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     F = rhs_from_spec(cfg.grid, cfg.rhs_spec)
-    result = continuity_solve(g, F, cfg.solver)
+    result = nested_solve(g, F, cfg.solver)
     serialize(result.phi, os.path.join(out, "phi.field"))
     rep = estimate_report(g, result)
+    coarse = _coarse_summary(result)
     summary = {"task": "solve", **_solve_summary(result), "report": rep.as_json_dict(),
+               "coarse": coarse, "b_gap": abs(result.b - coarse[0]["b"]) if coarse else None,
                "phi_file": "phi.field"}
     return summary
 
 
 def _task_sweep(cfg: RunConfig, out: str) -> dict:
     scales = cfg.extras.get("scales")
-    _require(isinstance(scales, list) and scales, "sweep task needs a nonempty 'scales' list")
+    _require(
+        isinstance(scales, list) and scales and all(_is_finite_number(s) for s in scales),
+        "sweep task needs a nonempty 'scales' list of finite numbers",
+    )
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     F = rhs_from_spec(cfg.grid, cfg.rhs_spec)
     entries = sweep(g, F, [float(s) for s in scales], cfg.solver)
@@ -205,9 +236,9 @@ def _task_prescribe(cfg: RunConfig, out: str) -> dict:
     _require(isinstance(psi_spec, dict), "prescribe-ricci task needs a 'psi' object")
     h = None
     if "h_expression" in psi_spec:
-        h = sample_expression(psi_spec["h_expression"], cfg.grid)
+        h = sample_expression(spec_string(psi_spec, "h_expression", "psi"), cfg.grid)
     elif "h_path" in psi_spec:
-        fld = deserialize(psi_spec["h_path"], cfg.grid)
+        fld = field_from_spec(psi_spec, "h_path", "psi", cfg.grid)
         _require(
             isinstance(fld, ScalarField) and fld.is_real,
             "'psi.h_path' must hold a real scalar field",
@@ -219,7 +250,7 @@ def _task_prescribe(cfg: RunConfig, out: str) -> dict:
             cfg.grid, ric.values - complex_hessian(h.values, cfg.grid) / (2.0 * np.pi)
         )
     elif "path" in psi_spec:
-        fld = deserialize(psi_spec["path"], cfg.grid)
+        fld = field_from_spec(psi_spec, "path", "psi", cfg.grid)
         _require(isinstance(fld, HermitianField), "'psi.path' must hold a matrix field")
         psi = fld
     else:
@@ -246,9 +277,9 @@ def _task_report(cfg: RunConfig, out: str) -> dict:
         "report task needs a 'phi' object with a 'path'",
     )
     b = cfg.extras.get("b", 0.0)
-    _require(isinstance(b, (int, float)), "report task field 'b' must be a number")
+    _require(_is_finite_number(b), "report task field 'b' must be a finite number")
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
-    phi = deserialize(phi_spec["path"], cfg.grid)
+    phi = field_from_spec(phi_spec, "path", "phi", cfg.grid)
     _require(
         isinstance(phi, ScalarField) and phi.is_real,
         "'phi.path' must hold a real scalar field",

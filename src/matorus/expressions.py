@@ -131,9 +131,11 @@ class Expression:
             coords.update({f"x{j + 1}", f"y{j + 1}"})
         try:
             tree = ast.parse(text, mode="eval")
-        except SyntaxError as exc:
+            _validate(tree.body, coords)
+        except (SyntaxError, ValueError) as exc:  # ValueError: a null byte before 3.12
             raise ExpressionError(f"syntax error in expression: {exc}") from exc
-        _validate(tree.body, coords)
+        except RecursionError as exc:
+            raise ExpressionError("expression is nested too deeply") from exc
         self._tree = tree.body
         self._coords = coords
 
@@ -144,7 +146,10 @@ class Expression:
             )
         env = dict(grid.coordinates())
         env["pi"] = np.pi
-        vals = _eval(self._tree, env)
+        try:
+            vals = _eval(self._tree, env)
+        except RecursionError as exc:
+            raise ExpressionError("expression is nested too deeply") from exc
         vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), grid.shape).copy()
         return ScalarField(grid, vals)
 

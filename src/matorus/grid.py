@@ -499,6 +499,49 @@ def ddbar(f: ScalarField) -> HermitianField:
     return HermitianField(f.grid, complex_hessian(f.values, f.grid))
 
 
+@lru_cache(maxsize=32)
+def _resample_matrix(N: int, M: int) -> np.ndarray:
+    """Real M x N matrix of trigonometric interpolation along one axis.
+
+    Modes |m| < min(N, M)/2 are kept. Going up (M > N) the Nyquist mode
+    of N is split in half between +-N/2; going down (M < N) the modes
+    +-M/2 are folded into the Nyquist mode of M; everything else is cut.
+    """
+    K = min(N, M) // 2
+    coeff = np.fft.fft(np.eye(N), axis=0) / N  # row m: coefficient of mode m
+    spec = np.zeros((M, N), dtype=np.complex128)
+    spec[:K] = coeff[:K]
+    spec[M - K + 1:] = coeff[N - K + 1:]
+    if M > N:
+        spec[K] = spec[M - K] = 0.5 * coeff[K]
+    elif M < N:
+        spec[K] = coeff[K] + coeff[N - K]
+    else:
+        spec[K] = coeff[K]
+    out = np.ascontiguousarray(np.fft.ifft(spec, axis=0).real * M)
+    out.setflags(write=False)
+    return out
+
+
+def resample(values: np.ndarray, grid_to: GridSpec) -> np.ndarray:
+    """Trigonometric interpolation of grid samples onto ``grid_to``.
+
+    ``values`` has the grid axes first (N points each) and any pointwise
+    axes after them, e.g. the matrix entries of a HermitianField; real
+    and imaginary parts are resampled separately by one real matrix per
+    axis (``_resample_matrix``). Exact on trigonometric polynomials of
+    degree < min(N, M)/2 in each variable; restricting what was
+    prolonged returns the input.
+    """
+    if np.iscomplexobj(values):
+        return resample(values.real, grid_to) + 1j * resample(values.imag, grid_to)
+    out = np.asarray(values, dtype=np.float64)
+    for axis in range(2 * grid_to.complex_dim):
+        R = _resample_matrix(out.shape[axis], grid_to.points_per_axis)
+        out = np.moveaxis(np.tensordot(R, out, axes=(1, axis)), 0, axis)
+    return np.ascontiguousarray(out)
+
+
 def integrate(f: ScalarField, g: HermitianField) -> float:
     """Normalized integral of f against the volume form of the metric g.
 

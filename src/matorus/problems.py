@@ -19,6 +19,23 @@ from .grid import (
 )
 
 
+def spec_string(spec: dict, key: str, where: str) -> str:
+    """``spec[key]``, an expression or a path, which must be a string."""
+    value = spec[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}.{key} must be a string, got {type(value).__name__}")
+    return value
+
+
+def field_from_spec(spec: dict, key: str, where: str, grid: GridSpec):
+    """The field stored in the file named by ``spec[key]``."""
+    path = spec_string(spec, key, where)
+    try:
+        return deserialize(path, grid)
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
+        raise ConfigError(f"cannot read {where}.{key} {path!r}: {exc}") from exc
+
+
 def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
     """Build a metric from a config spec.
 
@@ -36,7 +53,7 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
     if kind == "conformal":
         if "h" not in spec:
             raise ConfigError("conformal metric spec needs an 'h' expression")
-        h = sample_expression(spec["h"], grid)
+        h = sample_expression(spec_string(spec, "h", "metric"), grid)
         n = grid.complex_dim
         vals = np.zeros(grid.shape + (n, n), dtype=np.complex128)
         vals[..., range(n), range(n)] = np.exp(h.values)[..., None]
@@ -44,12 +61,12 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
     if kind == "kaehler_perturbation":
         if "f" not in spec:
             raise ConfigError("kaehler_perturbation metric spec needs an 'f' expression")
-        f = sample_expression(spec["f"], grid)
+        f = sample_expression(spec_string(spec, "f", "metric"), grid)
         return (identity_metric(grid) + ddbar(f)).as_metric()
     if kind == "explicit":
         if "path" not in spec:
             raise ConfigError("explicit metric spec needs a 'path'")
-        fld = deserialize(spec["path"], grid)
+        fld = field_from_spec(spec, "path", "metric", grid)
         if not isinstance(fld, HermitianField):
             raise ConfigError(f"{spec['path']} does not contain a matrix field")
         return fld.as_metric()
@@ -64,9 +81,9 @@ def rhs_from_spec(grid: GridSpec, spec) -> ScalarField:
     if not isinstance(spec, dict):
         raise ConfigError("rhs spec must be an object")
     if "expression" in spec:
-        fld = sample_expression(spec["expression"], grid)
+        fld = sample_expression(spec_string(spec, "expression", "rhs"), grid)
     elif "path" in spec:
-        fld = deserialize(spec["path"], grid)
+        fld = field_from_spec(spec, "path", "rhs", grid)
         if not isinstance(fld, ScalarField) or not fld.is_real:
             raise ConfigError(f"{spec['path']} does not contain a real scalar field")
     else:

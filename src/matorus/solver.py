@@ -23,6 +23,22 @@ warm-starting each Newton solve from the previous step. The first step is
 1 - t, and halves after each rejected one (recorded in
 ``SolveResult.rejected``).
 
+The nested driver ``nested_solve`` (the ``solve`` task's solver) is
+nested iteration, the "full multigrid" start (Brandt, Math. Comp. 31,
+1977): it runs the continuation on the coarse grid N_c = max(8,
+2*(N//4)), prolongs phi to N by trigonometric interpolation
+(``grid.resample``) and finishes with Newton at t = 1 on N from (phi, b)
+of the coarse grid, with the fine constraint weights. The coarse problem
+is g and F resampled to N_c, with its own conformal weight, and is solved
+by ``nested_solve`` again, so N = 24 runs 24 -> 12 -> 8. On N = 8,
+where N_c = N, it is ``continuity_solve``. The solution is smooth,
+so the coarse b is already close and the finish takes a couple of Newton
+iterations; the coarse result is kept in ``SolveResult.coarse``, and
+|b - coarse b| estimates the discretization error. If the coarse stage
+or the finish fails (a stalled continuation, Newton, positivity, Krylov
+or conformal-weight failure), ``continuity_solve`` runs on N and the
+failure is recorded first in ``rejected`` as (1.0, error code).
+
 Each Newton correction is an inexact solve: LGMRES runs to the relative
 tolerance max(linear_tol, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
 |r| is the sup-norm of the current log residual. A forcing term of order
@@ -40,7 +56,7 @@ damping and integers >= 1 for its iteration counts, never booleans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -48,6 +64,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     ContinuationStalled,
+    GauduchonKernelError,
     LinearSolverStalled,
     MaxItersExceeded,
     NotPositiveError,
@@ -55,6 +72,7 @@ from .errors import (
 )
 from .geometry import canonical_laplacian, gauduchon_weight
 from .grid import (
+    GridSpec,
     HermitianField,
     ScalarField,
     _eigmin_grid,
@@ -62,6 +80,7 @@ from .grid import (
     complex_hessian,
     det,
     inverse,
+    resample,
 )
 from .linsolve import laplacian, laplacian_planes, solve_constrained
 
@@ -97,7 +116,9 @@ class SolverConfig:
 class SolveResult:
     """Converged solution: phi with sup phi = 0, the constant b, and the
     continuation/Newton diagnostics. ``rejected`` lists the (t, error code)
-    of every continuation attempt that failed and halved the step."""
+    of every continuation attempt that failed and halved the step.
+    ``coarse`` is the coarse-grid solve a ``nested_solve`` finish started
+    from, None for a single-grid solve."""
 
     phi: ScalarField
     b: float
@@ -105,6 +126,7 @@ class SolveResult:
     min_eigen_gprime: float = 0.0
     residual_history: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
+    coarse: SolveResult | None = None
 
     def __post_init__(self):
         if abs(self.phi.sup()) > 1e-13:
@@ -299,3 +321,58 @@ def continuity_solve(
         residual_history=last.residual_history,
         rejected=rejected,
     )
+
+
+# Failures of a solve that the fine continuation may still get past.
+_RECOVERABLE = (
+    ContinuationStalled,
+    GauduchonKernelError,
+    LinearSolverStalled,
+    MaxItersExceeded,
+    NotPositiveError,
+    PositivityLost,
+)
+
+
+def nested_solve(
+    g: HermitianField,
+    F: ScalarField,
+    config: SolverConfig | None = None,
+) -> SolveResult:
+    """Solve on the coarse grid N_c = max(8, 2*(N//4)), then finish with
+    Newton on N from the prolonged coarse solution.
+
+    The coarse problem is g and F resampled to N_c; it is solved by
+    ``nested_solve`` again, so 24 -> 12 -> 8, and a grid with N_c >= N
+    runs ``continuity_solve``. If the coarse stage or the finish fails,
+    the fine continuation runs instead and the failure is recorded first
+    in ``rejected`` as (1.0, error code).
+    """
+    config = config or SolverConfig()
+    grid = g.grid
+    N_c = max(8, 2 * (grid.points_per_axis // 4))
+    if N_c >= grid.points_per_axis:
+        return continuity_solve(g, F, config)
+    g = g.as_metric()
+    w = _constraint_weights(g)
+    coarse_grid = GridSpec(grid.complex_dim, N_c)
+    try:
+        coarse = nested_solve(
+            HermitianField(coarse_grid, resample(g.values, coarse_grid), metric=True),
+            ScalarField(coarse_grid, resample(F.values, coarse_grid)),
+            config,
+        )
+        fine = newton_solve(
+            g, F, config,
+            initial=(resample(coarse.phi.values, grid), coarse.b),
+            constraint_weights=w,
+        )
+    except _RECOVERABLE as exc:
+        failed = (1.0, exc.code)
+        try:
+            result = continuity_solve(g, F, config, constraint_weights=w)
+        except ContinuationStalled as stalled:
+            stalled.rejected.insert(0, failed)
+            raise
+        return replace(result, rejected=[failed] + result.rejected)
+    return replace(fine, coarse=coarse)

@@ -383,3 +383,69 @@ def test_non_integer_grid_or_seed_is_a_config_error(tmp_path, capsys, patch):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "config_error"
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_solve_summary_reports_the_coarse_solves(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "solve.json",
+        {
+            "grid": {"complex_dim": 2, "points_per_axis": 12},
+            "metric": {"kind": "conformal", "h": "0.2*cos(2*pi*x2)"},
+            "rhs": {"expression": "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)"},
+        },
+    )
+    for out in ("a", "b"):
+        assert run_cli(["solve", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    [coarse] = summary["coarse"]
+    assert coarse["points_per_axis"] == 8
+    assert [t for t, _, _ in coarse["t_trace"]] == pytest.approx([0.1, 0.3, 0.7, 1.0])
+    assert summary["b_gap"] == abs(summary["b"] - coarse["b"])
+    assert 0.0 < summary["b_gap"] < 1e-8
+    # The top-level trace is the fine grid's own: one Newton finish at t = 1.
+    [[t, iters, residual]] = summary["t_trace"]
+    assert t == 1.0 and iters >= 1 and residual <= 1e-10
+    assert summary["rejected_steps"] == []
+    for name in ("summary.json", "phi.field"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_single_grid_solve_summary_has_no_coarse_solve(tmp_path):
+    cfg = write_config(
+        tmp_path, "solve.json", {"grid": BASE_GRID, "rhs": {"expression": "0.3*cos(2*pi*x1)"}}
+    )
+    assert run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["coarse"] == []
+    assert summary["b_gap"] is None
+
+
+@pytest.mark.parametrize(
+    "task, patch",
+    [
+        ("solve", {"metric": {"kind": "conformal", "h": 5}}),
+        ("solve", {"metric": {"kind": "kaehler_perturbation", "f": [1]}}),
+        ("solve", {"metric": {"kind": "explicit", "path": 7}}),
+        ("solve", {"rhs": {"expression": 3}}),
+        ("solve", {"rhs": {"path": None}}),
+        ("solve", {"rhs": {"path": "missing.field"}}),
+        ("solve", {"output_dir": 5}),
+        ("prescribe-ricci", {"psi": {"h_expression": 4}}),
+        ("prescribe-ricci", {"psi": {"path": {"a": 1}}}),
+        ("sweep", {"scales": ["x"]}),
+        ("sweep", {"scales": [{"a": 1}]}),
+        ("sweep", {"scales": [True]}),
+        ("sweep", {"scales": [float("nan")]}),
+        ("report", {"phi": {"path": 1.5}}),
+        ("report", {"phi": {"path": "missing.field"}, "b": float("inf")}),
+    ],
+)
+def test_malformed_spec_values_are_config_errors(tmp_path, capsys, monkeypatch, task, patch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "bad.json", {"grid": BASE_GRID, **patch})
+    capsys.readouterr()
+    assert run_cli([task, "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "config_error", err
+    assert not (tmp_path / "out" / "summary.json").exists()
