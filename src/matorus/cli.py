@@ -84,6 +84,14 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def load_config(path: str, task: str, seed_override=None, out_override=None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -105,6 +113,12 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
         complex_dim=_require_int(gspec.get("complex_dim", 2), "grid.complex_dim"),
         points_per_axis=_require_int(gspec.get("points_per_axis", 16), "grid.points_per_axis"),
         diff_scheme=gspec.get("diff_scheme", "fourier_collocation"),
+    )
+    _require(
+        grid.npoints * grid.complex_dim**2 * 16 <= _physical_memory(),
+        f"grid n={grid.complex_dim} N={grid.points_per_axis} is too large: one metric array "
+        f"({grid.npoints} points of {grid.complex_dim}x{grid.complex_dim} complex entries) "
+        "exceeds physical memory",
     )
     solver_raw = raw.get("solver", {})
     _require(isinstance(solver_raw, dict), "config field 'solver' must be an object")
@@ -191,7 +205,13 @@ def _task_sweep(cfg: RunConfig, out: str) -> dict:
     entries = sweep(g, F, [float(s) for s in scales], cfg.solver)
     _write_csv(os.path.join(out, "sweep.csv"), SWEEP_CSV_COLUMNS, sweep_csv_rows(entries))
     statuses = [
-        {"s": e.scale, "status": "ok" if e.error is None else "error", "error": e.error}
+        {
+            "s": e.scale,
+            "status": "ok" if e.error is None else "error",
+            "error": e.error,
+            "start": e.start,
+            "rejected_steps": [[t, code] for t, code in e.rejected],
+        }
         for e in entries
     ]
     return {"task": "sweep", "entries": statuses, "csv_file": "sweep.csv"}

@@ -17,14 +17,20 @@ largest trial exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MatorusError
+from .errors import ContinuationStalled, MatorusError
 from .grid import HermitianField, ScalarField, complex_hessian, measure_weights
 from .geometry import trace_pair
-from .solver import SolverConfig, SolveResult, _constraint_weights, continuity_solve
+from .solver import (
+    SolverConfig,
+    SolveResult,
+    _constraint_weights,
+    continuity_solve,
+    newton_finish,
+)
 
 TRIAL_EXPONENTS = (0.5, 1.0, 2.0, 4.0)
 ALPHA_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -96,10 +102,17 @@ def report(g: HermitianField, result: SolveResult) -> EstimateReport:
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """One scale of a sweep. ``start`` is the solved scale its Newton
+    finish started from, None for a cold continuation. ``rejected`` lists
+    the (t, error code) of every failed attempt, of a failed solve too,
+    with (1.0, code) first after a failed warm start."""
+
     scale: float
     report: EstimateReport | None = None
     result: SolveResult | None = None
     error: str | None = None
+    start: float | None = None
+    rejected: list = field(default_factory=list)
 
 
 def sweep(
@@ -111,6 +124,13 @@ def sweep(
     """Solve for each scaled right-hand side s * F and report, one scale
     after another in the order given.
 
+    Each scale starts from the nearest scale s' solved before it (the
+    first of them on a tie): if |s - s'| < |s|, ``solver.newton_finish``
+    runs Newton on s * F from (phi, b) of s', and falls back to the cold
+    continuation with (1.0, error code) first in ``rejected`` if that
+    fails. Otherwise, and always for s = 0, ``continuity_solve`` runs
+    from t = 0.
+
     The conformal weight of g is solved once for all scales; its failure
     concerns the metric, not a scale, and is raised. Solver failures are
     recorded per entry without aborting the sweep. ``MA_THREADS`` sets only
@@ -119,15 +139,27 @@ def sweep(
     config = config or SolverConfig()
     g = g.as_metric()
     w = _constraint_weights(g)
+    solved = []
 
     def one(s: float) -> SweepEntry:
+        Fs = ScalarField(F.grid, s * F.values)
+        near = min(solved, key=lambda e: abs(s - e.scale), default=None)
+        start = near.scale if near is not None and abs(s - near.scale) < abs(s) else None
         try:
-            res = continuity_solve(
-                g, ScalarField(F.grid, s * F.values), config, constraint_weights=w
+            if start is None:
+                res = continuity_solve(g, Fs, config, constraint_weights=w)
+            else:
+                res = newton_finish(g, Fs, config, lambda: (near.result.phi, near.result.b), w)
+            entry = SweepEntry(
+                scale=s, report=report(g, res), result=res, start=start, rejected=res.rejected
             )
-            return SweepEntry(scale=s, report=report(g, res), result=res)
         except MatorusError as exc:
-            return SweepEntry(scale=s, error=f"{exc.code}: {exc}")
+            return SweepEntry(
+                scale=s, error=f"{exc.code}: {exc}", start=start,
+                rejected=exc.rejected if isinstance(exc, ContinuationStalled) else [],
+            )
+        solved.append(entry)
+        return entry
 
     return [one(s) for s in scales]
 

@@ -56,7 +56,9 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
         h = sample_expression(spec_string(spec, "h", "metric"), grid)
         n = grid.complex_dim
         vals = np.zeros(grid.shape + (n, n), dtype=np.complex128)
-        vals[..., range(n), range(n)] = np.exp(h.values)[..., None]
+        # An overflow to inf is rejected by the field check below, as grid_mismatch.
+        with np.errstate(over="ignore"):
+            vals[..., range(n), range(n)] = np.exp(h.values)[..., None]
         return HermitianField(grid, vals, metric=True)
     if kind == "kaehler_perturbation":
         if "f" not in spec:

@@ -34,10 +34,15 @@ by ``nested_solve`` again, so N = 24 runs 24 -> 12 -> 8. On N = 8,
 where N_c = N, it is ``continuity_solve``. The solution is smooth,
 so the coarse b is already close and the finish takes a couple of Newton
 iterations; the coarse result is kept in ``SolveResult.coarse``, and
-|b - coarse b| estimates the discretization error. If the coarse stage
-or the finish fails (a stalled continuation, Newton, positivity, Krylov
-or conformal-weight failure), ``continuity_solve`` runs on N and the
-failure is recorded first in ``rejected`` as (1.0, error code).
+|b - coarse b| estimates the discretization error.
+
+Both warm-started drivers, ``nested_solve`` from the coarse grid and
+``estimates.sweep`` from the nearest solved scale, end in one shared
+finish, ``newton_finish``: Newton at t = 1 from the given start, and if
+the start or Newton fails (a stalled continuation, Newton, positivity,
+Krylov or conformal-weight failure), ``continuity_solve`` on the same
+grid with the failure recorded first in ``rejected`` as (1.0, error
+code).
 
 Each Newton correction is an inexact solve: LGMRES runs to the relative
 tolerance max(linear_tol, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
@@ -323,7 +328,7 @@ def continuity_solve(
     )
 
 
-# Failures of a solve that the fine continuation may still get past.
+# Failures of a solve that the continuation may still get past.
 _RECOVERABLE = (
     ContinuationStalled,
     GauduchonKernelError,
@@ -334,13 +339,39 @@ _RECOVERABLE = (
 )
 
 
+def newton_finish(
+    g: HermitianField,
+    F: ScalarField,
+    config: SolverConfig,
+    start,
+    constraint_weights: np.ndarray,
+) -> SolveResult:
+    """Newton at t = 1 on F from ``start()``, a (phi, b) pair on g's grid;
+    if ``start()`` or Newton fails recoverably, ``continuity_solve`` on
+    g's grid instead, with the failure recorded first in ``rejected`` as
+    (1.0, error code), also in the ``ContinuationStalled`` it may raise.
+
+    A finish that converged has an empty ``rejected``, a fallback never.
+    """
+    try:
+        return newton_solve(g, F, config, initial=start(), constraint_weights=constraint_weights)
+    except _RECOVERABLE as exc:
+        failed = (1.0, exc.code)
+    try:
+        result = continuity_solve(g, F, config, constraint_weights=constraint_weights)
+    except ContinuationStalled as stalled:
+        stalled.rejected.insert(0, failed)
+        raise
+    return replace(result, rejected=[failed] + result.rejected)
+
+
 def nested_solve(
     g: HermitianField,
     F: ScalarField,
     config: SolverConfig | None = None,
 ) -> SolveResult:
     """Solve on the coarse grid N_c = max(8, 2*(N//4)), then finish with
-    Newton on N from the prolonged coarse solution.
+    Newton on N from the prolonged coarse solution (``newton_finish``).
 
     The coarse problem is g and F resampled to N_c; it is solved by
     ``nested_solve`` again, so 24 -> 12 -> 8, and a grid with N_c >= N
@@ -354,25 +385,17 @@ def nested_solve(
     if N_c >= grid.points_per_axis:
         return continuity_solve(g, F, config)
     g = g.as_metric()
-    w = _constraint_weights(g)
     coarse_grid = GridSpec(grid.complex_dim, N_c)
-    try:
+    coarse = None
+
+    def prolonged_coarse_solution():
+        nonlocal coarse
         coarse = nested_solve(
             HermitianField(coarse_grid, resample(g.values, coarse_grid), metric=True),
             ScalarField(coarse_grid, resample(F.values, coarse_grid)),
             config,
         )
-        fine = newton_solve(
-            g, F, config,
-            initial=(resample(coarse.phi.values, grid), coarse.b),
-            constraint_weights=w,
-        )
-    except _RECOVERABLE as exc:
-        failed = (1.0, exc.code)
-        try:
-            result = continuity_solve(g, F, config, constraint_weights=w)
-        except ContinuationStalled as stalled:
-            stalled.rejected.insert(0, failed)
-            raise
-        return replace(result, rejected=[failed] + result.rejected)
-    return replace(fine, coarse=coarse)
+        return resample(coarse.phi.values, grid), coarse.b
+
+    fine = newton_finish(g, F, config, prolonged_coarse_solution, _constraint_weights(g))
+    return fine if fine.rejected else replace(fine, coarse=coarse)

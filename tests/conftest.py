@@ -48,6 +48,34 @@ def count_weight_solves(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def count_matvecs(monkeypatch) -> list:
+    """Wrap the operator closure (``matvec``) that ``solve_constrained``
+    hands to ``linsolve.spla.LinearOperator``; the returned list grows by
+    one per operator application."""
+    from matorus import linsolve
+
+    calls = []
+    spla = linsolve.spla
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def LinearOperator(self, shape, matvec, **kwargs):
+            if matvec.__name__ == "matvec":
+                inner = matvec
+
+                def matvec(x):
+                    calls.append(1)
+                    return inner(x)
+
+            return spla.LinearOperator(shape, matvec=matvec, **kwargs)
+
+    monkeypatch.setattr(linsolve, "spla", Counted())
+    return calls
+
+
 TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn")
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,26 @@ def test_sweep_csv(tmp_path):
     assert len(csv_text) == 1 + 2 * 16
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert all(e["status"] == "ok" for e in summary["entries"])
+
+
+def test_sweep_summary_records_starts_and_runs_repeat_bytewise(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "sweep.json",
+        {
+            "grid": BASE_GRID,
+            "metric": {"kind": "conformal", "h": "0.2*cos(2*pi*x2)"},
+            "rhs": {"expression": "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)"},
+            "scales": [0.5, 0.0, 1.0, 2.0],
+        },
+    )
+    for out in ("a", "b"):
+        assert run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert [e["start"] for e in summary["entries"]] == [None, None, 0.5, 1.0]
+    assert all(e["rejected_steps"] == [] for e in summary["entries"])
+    for name in ("summary.json", "sweep.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_gauduchon_task(tmp_path):
@@ -382,6 +403,25 @@ def test_non_integer_grid_or_seed_is_a_config_error(tmp_path, capsys, patch):
     assert rc == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "config_error"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("N", [400, 100000])
+def test_grid_larger_than_memory_is_a_config_error(tmp_path, capsys, N):
+    cfg = write_config(
+        tmp_path, "big.json", {"grid": {"complex_dim": 2, "points_per_axis": N}}
+    )
+    tracemalloc.start()
+    try:
+        rc = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
+    assert "exceeds physical memory" in err["error"]["message"]
+    assert peak < 2**20
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

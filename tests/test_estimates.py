@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matorus import cli
+from matorus import cli, solver
 from matorus.estimates import (
     ALPHA_GRID,
     SWEEP_CSV_COLUMNS,
@@ -12,16 +12,42 @@ from matorus.estimates import (
     sweep_csv_rows,
 )
 from matorus.geometry import canonical_laplacian, trace_pair
+from matorus.errors import ContinuationStalled, PositivityLost
 from matorus.grid import (
+    GridSpec,
     HermitianField,
+    ScalarField,
     complex_hessian,
     constant_field,
     identity_metric,
 )
 from matorus.problems import random_trig_field
-from matorus.solver import SolverConfig, continuity_solve
+from matorus.solver import SolverConfig, _constraint_weights, continuity_solve
 
 from conftest import conformal_metric, count_weight_solves
+
+
+CRITERION_8_SCALES = [0.25, 0.5, 1.0, 1.5, 2.0]
+
+
+def _criterion_8_problem():
+    """The metric and right-hand side of acceptance criterion 8."""
+    grid = GridSpec(2, 8)
+    rng = np.random.default_rng(88)
+    c = grid.coordinates()
+    h = ScalarField(
+        grid,
+        0.15 * np.cos(2 * np.pi * np.broadcast_to(c["x1"], grid.shape))
+        + 0.15 * np.sin(2 * np.pi * np.broadcast_to(c["y2"], grid.shape)),
+    )
+    return conformal_metric(grid, h), random_trig_field(grid, rng, amplitude=1.0, bandwidth=1)
+
+
+def _cold(g, F, s, config=None):
+    """The continuation from t = 0 at s * F, with the sweep's weights."""
+    return continuity_solve(
+        g, ScalarField(F.grid, s * F.values), config, constraint_weights=_constraint_weights(g)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +175,86 @@ class TestSweep:
         l1s = [e.report.L1_phi for e in entries]
         assert all(np.isfinite(v) for v in l1s)
         assert max(l1s) < 1.0
+
+
+class TestChainedSweep:
+    @pytest.mark.parametrize(
+        "scales, starts",
+        [
+            (CRITERION_8_SCALES, [None, 0.25, 0.5, 1.0, 1.5]),
+            (CRITERION_8_SCALES[::-1], [None, 2.0, 1.5, None, None]),
+        ],
+        ids=["given", "reversed"],
+    )
+    def test_b_matches_the_independent_continuation(self, scales, starts):
+        g, F = _criterion_8_problem()
+        entries = sweep(g, F, scales)
+        assert [e.scale for e in entries] == scales
+        assert [e.start for e in entries] == starts
+        for e in entries:
+            assert e.error is None and e.rejected == []
+            assert abs(e.result.b - _cold(g, F, e.scale).b) <= 1e-10
+            assert e.result.residual_history[-1] <= SolverConfig().newton_tol
+
+    def test_fewer_operator_applications_than_per_scale_continuations(self, count_matvecs):
+        g, F = _criterion_8_problem()
+        w = _constraint_weights(g)
+        count_matvecs.clear()
+        for s in CRITERION_8_SCALES:
+            continuity_solve(g, ScalarField(F.grid, s * F.values), constraint_weights=w)
+        cold = len(count_matvecs)
+        count_matvecs.clear()
+        # The sweep's count includes its one conformal-weight solve.
+        entries = sweep(g, F, CRITERION_8_SCALES)
+        assert all(e.error is None for e in entries)
+        assert len(count_matvecs) < cold
+
+    def test_failed_warm_start_falls_back_to_the_continuation(self, monkeypatch):
+        g, F = _criterion_8_problem()
+        newton = solver.newton_solve
+
+        def failing_finish(*args, **kwargs):
+            # The continuation labels its attempts with t; the finish does not.
+            if "t_label" not in kwargs:
+                raise PositivityLost("forced")
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", failing_finish)
+        first, second = sweep(g, F, [1.0, 1.5])
+        cold = _cold(g, F, 1.5)
+        assert first.start is None and first.rejected == []
+        assert second.start == 1.0
+        assert second.rejected[0] == (1.0, "positivity_lost")
+        assert second.rejected[1:] == cold.rejected
+        assert second.result.rejected == second.rejected
+        assert second.result.b == cold.b
+        assert np.array_equal(second.result.phi.values, cold.phi.values)
+
+    def test_stalled_fallback_lists_the_warm_start_first(self):
+        grid = GridSpec(2, 8)
+        g = identity_metric(grid)
+        F = random_trig_field(grid, np.random.default_rng(3), amplitude=1.0, bandwidth=1)
+        config = SolverConfig(max_newton_iters=2, t_step_initial=0.5, t_step_min=0.25)
+        tiny, big = sweep(g, F, [1e-9, 8.0], config)
+        assert tiny.error is None
+        assert big.start == 1e-9
+        assert big.error.startswith("continuation_stalled")
+        with pytest.raises(ContinuationStalled) as stalled:
+            _cold(g, F, 8.0, config)
+        assert big.rejected[0][0] == 1.0
+        assert big.rejected[0][1] in ("max_iters_exceeded", "positivity_lost")
+        assert big.rejected[1:] == stalled.value.rejected
+
+    def test_zero_scale_stays_trivial_and_scales_repeat(self):
+        g, F = _criterion_8_problem()
+        entries = sweep(g, F, [1.0, 0.0, 1.0, 0.0])
+        assert [e.start for e in entries] == [None, None, 1.0, None]
+        for zero in entries[1::2]:
+            assert zero.result.b == 0.0
+            assert not zero.result.phi.values.any()
+            assert zero.report.osc_phi == 0.0
+        first, again = entries[0].result, entries[2].result
+        # Started from its own solution, Newton stops before any step.
+        assert again.t_trace[0][:2] == (1.0, 0)
+        assert again.b == first.b
+        assert np.abs(again.phi.values - first.phi.values).max() <= 1e-14

@@ -6,7 +6,6 @@ both kernels exactly for a conformal metric."""
 import numpy as np
 import pytest
 
-from matorus import linsolve
 from matorus.geometry import _weight_coefficient_fields, gauduchon_weight
 from matorus.grid import GridSpec, coefficient_planes, inverse, measure_weights
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
@@ -57,32 +56,6 @@ def test_bordered_solve_recovers_manufactured_solution(kernel, N):
     )
     assert float(np.max(np.abs(got_eta - eta))) <= 1e-9
     assert abs(got_beta - beta) <= 1e-9
-
-
-@pytest.fixture
-def count_matvecs(monkeypatch) -> list:
-    """Wrap the operator closure (``matvec``) that ``solve_constrained``
-    hands to ``linsolve.spla.LinearOperator``; the returned list grows by
-    one per operator application."""
-    calls = []
-    spla = linsolve.spla
-
-    class Counted:
-        def __getattr__(self, name):
-            return getattr(spla, name)
-
-        def LinearOperator(self, shape, matvec, **kwargs):
-            if matvec.__name__ == "matvec":
-                inner = matvec
-
-                def matvec(x):
-                    calls.append(1)
-                    return inner(x)
-
-            return spla.LinearOperator(shape, matvec=matvec, **kwargs)
-
-    monkeypatch.setattr(linsolve, "spla", Counted())
-    return calls
 
 
 def _conformal(n):
