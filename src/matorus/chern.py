@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, GridMismatchError, NotClosedError
 from .geometry import (
-    _antisymmetrized_derivatives,
+    antisymmetric_pairs,
     form_norm_sq,
     gauduchon_metric,
     pair_density,
@@ -61,7 +61,7 @@ class PrescriptionResult:
 
 def closedness_defect(psi: HermitianField) -> float:
     """Sup-norm of the coefficients of d(psi)."""
-    return float(np.max(np.abs(_antisymmetrized_derivatives(psi))))
+    return float(np.max([np.max(np.abs(d)) for *_, d in antisymmetric_pairs(psi)]))
 
 
 def constraint_integral(

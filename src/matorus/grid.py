@@ -324,19 +324,34 @@ class HermitianField:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match {self.grid.shape + (n, n)}"
             )
-        vh = np.conj(np.swapaxes(v, -1, -2))
-        vmax = float(np.max(np.abs(v)))
+        # Entry by entry, so no temporary is larger than one scalar field;
+        # np.max (not Python's max) keeps a NaN entry from being dropped.
+        vmax = float(np.max([np.max(np.abs(v[..., i, j])) for i in range(n) for j in range(n)]))
         if not np.isfinite(vmax):
             raise GridMismatchError("matrix entries must be finite")
         scale = max(vmax, 1.0)
-        dev = float(np.max(np.abs(v - vh)))
+        # max |v - v^H|: entry (j, i) of v - v^H is minus the conjugate of
+        # entry (i, j), and a diagonal entry is 2i Im v_ii.
+        devs = [2.0 * np.max(np.abs(v[..., i, i].imag)) for i in range(n)]
+        devs += [
+            np.max(np.abs(v[..., i, j] - np.conj(v[..., j, i])))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        dev = float(np.max(devs))
         if dev > HERMITIAN_RTOL * scale:
             raise GridMismatchError(
                 f"matrices deviate from Hermitian by {dev:.3e} (relative tolerance {HERMITIAN_RTOL})"
             )
-        v = np.ascontiguousarray(0.5 * (v + vh))
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        # 0.5 (v + v^H), with each lower entry the conjugate of the upper one
+        out = np.empty(v.shape, dtype=np.complex128)
+        for i in range(n):
+            for j in range(i, n):
+                np.multiply(0.5, v[..., i, j] + np.conj(v[..., j, i]), out=out[..., i, j])
+                if i != j:
+                    np.conjugate(out[..., i, j], out=out[..., j, i])
+        out.setflags(write=False)
+        object.__setattr__(self, "values", out)
         if self.metric:
             emin, point = min_eigenvalue(self)
             if emin <= 0.0:
@@ -416,7 +431,9 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
 
 def inverse(h: HermitianField) -> np.ndarray:
     """Pointwise inverse adj(h) / det(h), returned as a raw array."""
-    return _adjugate(h.values) / _det(h.values)[..., None, None]
+    out = _adjugate(h.values)
+    out /= _det(h.values)[..., None, None]
+    return out
 
 
 def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:

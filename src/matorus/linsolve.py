@@ -36,8 +36,12 @@ in the bordered system: beta takes the zero mode of Lbar and the border
 row is met exactly. For a conformal metric e^h I the planes of G^-1 are
 e^-h I and the conformal-weight fields are (n-1)! e^((n-1)h) I, so both
 normalized operators have constant coefficients at phi = 0. The
-preconditioner is then the exact inverse, and the weight solve takes one
-Krylov step at every n.
+preconditioner is then the exact inverse.
+
+Each solve starts at x0 = M^-1 b, the preconditioner's answer, not at
+zero, so LGMRES's first operator application computes the residual of
+that start instead of A 0. In the conformal case the start is the
+solution, and that one application confirms it at every n.
 
 The callers are the Newton step (``solver.newton_solve``), the Poisson
 solve in the distinguished metric (``chern._poisson_solve_gauduchon``)
@@ -162,7 +166,9 @@ def solve_constrained(
     A = spla.LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
     M = spla.LinearOperator((npts + 1, npts + 1), matvec=precond, dtype=np.float64)
     b = np.concatenate([rhs.ravel(), [constraint_rhs]])
-    x, info = spla.lgmres(A, b, M=M, rtol=rtol, atol=0.0, maxiter=maxiter)
+    # Start from the preconditioner's answer, not from zero; through
+    # M.matvec, so the call is the same ``precond`` closure.
+    x, info = spla.lgmres(A, b, x0=M.matvec(b), M=M, rtol=rtol, atol=0.0, maxiter=maxiter)
     if info != 0:
         raise LinearSolverStalled(f"constrained linear solve did not converge (info={info})")
     return x[:npts].reshape(shape), float(x[npts])

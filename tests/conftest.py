@@ -101,3 +101,20 @@ def count_transforms(monkeypatch) -> Counter:
         grid, "_sfft", SimpleNamespace(**{name: counted(name) for name in TRANSFORMS})
     )
     return counts
+
+
+def peak_field_units(fn, grid: GridSpec) -> float:
+    """Peak memory traced while fn() runs, in complex scalar fields of the
+    grid (npoints * 16 bytes). fn runs once untraced first, so the cached
+    symbols of the grid are not counted."""
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (grid.npoints * 16)

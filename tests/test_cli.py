@@ -324,7 +324,7 @@ def test_central_difference_grid_rejected_by_spectral_tasks(tmp_path, capsys, ta
 
 def test_gauduchon_output_defect_is_the_weight_residual_of_one(tmp_path, count_transforms):
     assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
-    # Only the input metric is differentiated: one metric_derivatives call,
+    # Only the input metric is differentiated: one antisymmetric_pairs pass,
     # one complex forward transform per matrix entry.
     assert count_transforms["fftn"] == 2 * 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -29,7 +29,7 @@ from matorus.grid import (
 )
 from matorus.problems import random_metric, random_trig_field
 
-from conftest import conformal_metric, sample
+from conftest import conformal_metric, peak_field_units, sample
 
 
 def diag_metric_x2(grid, eps=0.3):
@@ -102,6 +102,20 @@ class TestDefects:
                                * 0.3 * np.pi * np.sin(2 * np.pi * x2)))
         assert d.kaehler_defect == pytest.approx(oracle, rel=1e-10)
         assert d.kaehler_defect > 0.1
+
+    @pytest.mark.parametrize(
+        "n, N, budget",
+        [
+            # Halfway between the n^3 derivative tensor (22 and 66 fields)
+            # and the pair kernel (12 and 19).
+            (2, 16, 17.0),
+            (3, 8, 42.5),
+        ],
+    )
+    def test_memory_budget(self, n, N, budget):
+        grid = GridSpec(n, N)
+        g = random_metric(grid, np.random.default_rng(5))
+        assert peak_field_units(lambda: defects(g), grid) <= budget
 
 
 class TestLaplacian:

@@ -3,6 +3,7 @@ import pytest
 
 from matorus.errors import GridMismatchError, NotPositiveError
 from matorus.grid import (
+    HERMITIAN_RTOL,
     GridSpec,
     HermitianField,
     ScalarField,
@@ -20,7 +21,9 @@ from matorus.grid import (
     min_eigenvalue,
 )
 
-from conftest import sample
+from matorus.problems import random_metric
+
+from conftest import peak_field_units, sample
 
 
 def test_gridspec_validation():
@@ -260,3 +263,68 @@ def test_non_finite_values_rejected(grid8, kind, bad):
     vals[0, 1, 2, 3, 0, 0] = bad
     with pytest.raises(GridMismatchError):
         HermitianField(grid8, vals, metric=(kind == "metric"))
+
+
+ENTRIES = [(n, i, j) for n in (2, 3) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n, i, j", ENTRIES)
+def test_non_finite_entry_rejected(n, i, j, bad, part):
+    # Every entry is checked, not only the first one reduced
+    grid = GridSpec(n, 8)
+    vals = np.broadcast_to(np.eye(n, dtype=complex), grid.shape + (n, n)).copy()
+    if part == "real":
+        vals[1, 2, 3, 4, i, j] = bad + 1j * vals[1, 2, 3, 4, i, j].imag
+    else:
+        vals[1, 2, 3, 4, i, j] = vals[1, 2, 3, 4, i, j].real + 1j * bad
+    with pytest.raises(GridMismatchError, match="finite"):
+        HermitianField(grid, vals)
+
+
+def _nearly_hermitian(grid, rng, eps):
+    """A random Hermitian field plus a non-Hermitian perturbation of size eps."""
+    n = grid.complex_dim
+    shape = grid.shape + (n, n)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return m + np.conj(np.swapaxes(m, -1, -2)) + eps * noise
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetrized_values_are_bitwise_half_sum(n):
+    grid = GridSpec(n, 8)
+    v = _nearly_hermitian(grid, np.random.default_rng(31 + n), 0.01 * HERMITIAN_RTOL)
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    assert np.max(np.abs(v - vh)) > 0.0
+    assert np.array_equal(HermitianField(grid, v).values, 0.5 * (v + vh))
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_deviation_is_reported_exactly(n, where):
+    grid = GridSpec(n, 8)
+    v = _nearly_hermitian(grid, np.random.default_rng(47 + n), 1e-9)
+    # The largest deviation sits on a diagonal imaginary part or on an
+    # off-diagonal entry.
+    v[(1,) * (2 * n) + (n - 1, n - 1 if where == "diagonal" else 0)] += 1e-6j
+    dev = float(np.max(np.abs(v - np.conj(np.swapaxes(v, -1, -2)))))
+    with pytest.raises(GridMismatchError) as err:
+        HermitianField(grid, v)
+    assert f"deviate from Hermitian by {dev:.3e} " in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "n, N, budget",
+    [
+        # Halfway between the full-size temporaries (10.5 and 22.5 fields)
+        # and the entry-by-entry check (6.5 and 11).
+        (2, 16, 8.5),
+        (3, 8, 16.75),
+    ],
+)
+def test_metric_validation_memory_budget(n, N, budget):
+    grid = GridSpec(n, N)
+    vals = np.array(random_metric(grid, np.random.default_rng(5)).values)
+    assert peak_field_units(lambda: HermitianField(grid, vals, metric=True), grid) <= budget

@@ -75,6 +75,14 @@ def test_conformal_weight_solve_is_one_krylov_step(n, count_matvecs):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_conformal_weight_solve_takes_one_operator_application(n, count_matvecs):
+    # The start M^-1 b is already the solution; one application confirms it
+    _, g = _conformal(n)
+    gauduchon_weight(g)
+    assert len(count_matvecs) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_conformal_laplacian_solve_is_one_krylov_step(n, count_matvecs):
     # G^-1 = e^-h I: the Laplacian is e^-h times the flat one
     grid, g = _conformal(n)
