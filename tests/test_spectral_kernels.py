@@ -146,16 +146,23 @@ def test_defects_match_torsion_and_reference_operator(grid8, rng):
     assert abs(d.gauduchon_defect - gaud) <= RTOL * gaud
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_defects_differentiates_the_metric_once(n, rng, count_transforms):
-    g = random_metric(GridSpec(n, 8), rng)
-    defects(g)
+def _assert_defects_differentiate_once(grid, rng, count_transforms):
+    n = grid.complex_dim
+    defects(random_metric(grid, rng))
     # antisymmetric_pairs: one complex forward transform per entry and two
     # inverse ones per pair i < j and column; the weight operator: n^2 real
     # forward transforms and one real inverse one.
     assert count_transforms == {
         "fftn": n * n, "ifftn": n * n * (n - 1), "rfftn": n * n, "irfftn": 1
     }
+
+
+def test_defects_differentiates_the_metric_once(grid8, rng, count_transforms):
+    _assert_defects_differentiate_once(grid8, rng, count_transforms)
+
+
+def test_defects_differentiates_the_metric_once_in_three_dimensions(rng, count_transforms):
+    _assert_defects_differentiate_once(GridSpec(3, 8), rng, count_transforms)
 
 
 @pytest.mark.parametrize("n", [2, 3])
