@@ -16,8 +16,9 @@ complementary to dz^p dzbar^m contracts two Levi-Civita symbols with n-1
 factors of g; each of the (n-1)! orderings of the factors gives the same
 cofactor of g, adj(g)[m, p]. The operator is the adjoint Laplacian
 ``linsolve.laplacian_adjoint`` with the
-coefficient planes of C (``grid.coefficient_planes``), built once per
-``gauduchon_weight`` or ``gauduchon_residual`` call. The kernel is
+coefficient planes of C (``weight_planes``), built once per
+``gauduchon_weight`` or ``gauduchon_residual`` call unless the caller
+passes them in, as the ``gauduchon`` task does for g. The kernel is
 obtained by one deflated Krylov solve in the mean-zero complement
 (``linsolve.solve_constrained``).
 
@@ -29,8 +30,9 @@ transforms (4 and 4 at n=2, 9 and 18 at n=3) and holds n spectra and one
 entry at a time, never the n^3 tensor of ``metric_derivatives``.
 ``defects`` reduces the entries to the Kahler defect and the torsion
 trace as they come; ``torsion`` and ``chern.closedness_defect`` take
-them from the same kernel. ``defects`` takes its Gauduchon defect from
-``gauduchon_residual``.
+them from the same kernel. ``defects`` takes its Gauduchon defect,
+sup |M(1)|, from ``gauduchon_residual``, or from a caller that already
+applied M to 1 for the weight solve.
 
 Every differential operator here is spectral and raises
 GridMismatchError on a central-difference grid. For n=2 wedge pairings
@@ -156,16 +158,28 @@ def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
     return c
 
 
-def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
-    """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|."""
-    planes = coefficient_planes(_weight_coefficient_fields(g))
+def weight_planes(g: HermitianField) -> tuple:
+    """Coefficient planes of the weight operator M(v) = d dbar (v omega^{n-1})
+    of g, for ``laplacian_adjoint``. A caller that applies M of one metric
+    several times builds them once and passes them on."""
+    return coefficient_planes(_weight_coefficient_fields(g))
+
+
+def gauduchon_residual(g: HermitianField, v: ScalarField, planes: tuple | None = None) -> float:
+    """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|; ``planes`` are
+    ``weight_planes(g)``, built here when not given."""
+    if planes is None:
+        planes = weight_planes(g)
     r = laplacian_adjoint(planes, v.values, g.grid)
     return float(np.max(np.abs(r)) / np.max(np.abs(v.values)))
 
 
-def defects(g: HermitianField) -> MetricDefects:
+def defects(g: HermitianField, gauduchon_defect: float | None = None) -> MetricDefects:
+    """The three defects of g; ``gauduchon_defect``, sup |M(1)| of the
+    weight operator, is computed here when the caller does not have it."""
     g = g.as_metric()
-    gaud = gauduchon_residual(g, constant_field(g.grid, 1.0))
+    if gauduchon_defect is None:
+        gauduchon_defect = gauduchon_residual(g, constant_field(g.grid, 1.0))
     ginv = inverse(g)
     # torsion(g).trace() without the torsion tensor: with A_ijl the pair
     # entry, trace_i gains -A_ijl ginv_lj and trace_j gains A_ijl ginv_li.
@@ -178,7 +192,7 @@ def defects(g: HermitianField) -> MetricDefects:
         trace[j] += d * ginv[..., l, i]
     kaehler = float(np.max(sups))
     balanced = float(np.max(np.abs(trace)))
-    return MetricDefects(kaehler, balanced, gaud)
+    return MetricDefects(kaehler, balanced, gauduchon_defect)
 
 
 def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
@@ -207,6 +221,8 @@ def gauduchon_weight(
     contract_tol: float = 1e-8,
     inner_rtol: float = 1e-13,
     inner_maxiter: int = 60,
+    planes: tuple | None = None,
+    m_one: np.ndarray | None = None,
 ) -> tuple:
     """Conformal weight (u, v) with d dbar (v omega^{n-1}) = 0, v > 0.
 
@@ -223,13 +239,19 @@ def gauduchon_weight(
     bordered solve pins the flat mean of xi to zero, and since M(xi) =
     -M(1) lies in the range of M (the mean-zero functions) the border
     unknown comes back zero.
+
+    ``planes`` (``weight_planes(g)``) and ``m_one``, their image M(1) of
+    the constant 1, are built here unless the caller has them already.
     """
     g = g.as_metric()
     grid = g.grid
     shape = grid.shape
-    planes = coefficient_planes(_weight_coefficient_fields(g))
+    if planes is None:
+        planes = weight_planes(g)
+    if m_one is None:
+        m_one = laplacian_adjoint(planes, np.ones(shape), grid)
 
-    rhs = -laplacian_adjoint(planes, np.ones(shape), grid)
+    rhs = -m_one
     if float(np.max(np.abs(rhs))) <= 1e-14:
         return _finish_weight(g, np.ones(shape))
 
@@ -267,9 +289,12 @@ def _finish_weight(g: HermitianField, v: np.ndarray) -> tuple:
     return u, vfield
 
 
-def gauduchon_metric(g: HermitianField) -> tuple:
-    """(omega_G, u, v): the distinguished conformal metric e^u g and its weight."""
-    u, v = gauduchon_weight(g)
+def gauduchon_metric(
+    g: HermitianField, planes: tuple | None = None, m_one: np.ndarray | None = None
+) -> tuple:
+    """(omega_G, u, v): the distinguished conformal metric e^u g and its
+    weight; ``planes`` and ``m_one`` as in ``gauduchon_weight``."""
+    u, v = gauduchon_weight(g, planes=planes, m_one=m_one)
     g_g = HermitianField(g.grid, g.values * np.exp(u.values)[..., None, None], metric=True)
     return g_g, u, v
 

@@ -19,9 +19,15 @@ spent on the constant gauge shift of a sup-normalized iterate.
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
 warm-starting each Newton solve from the previous step. The first step is
-``t_step_initial``; the step doubles after each accepted step, clipped at
-1 - t, and halves after each rejected one (recorded in
-``SolveResult.rejected``).
+``t_step_initial``, by default 1: the first attempt is one damped Newton
+solve at t = 1, which on smooth data reaches the solution, since the
+positivity line search keeps every iterate admissible (Deuflhard, Newton
+Methods for Nonlinear Problems, Springer 2004, ch. 5). The march is the
+fallback: the step halves after each rejected attempt (recorded in
+``SolveResult.rejected``, so a failed first attempt is (1.0, code) and t =
+0.5 comes next) and doubles after each accepted one, clipped at 1 - t.
+The default cap of 12 Newton iterations bounds what a failed attempt at
+t = 1 costs.
 
 The nested driver ``nested_solve`` (the ``solve`` task's solver) is
 nested iteration, the "full multigrid" start (Brandt, Math. Comp. 31,
@@ -95,8 +101,8 @@ _MIN_LINE_SEARCH_STEP = 1e-10
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10
-    max_newton_iters: int = 30
-    t_step_initial: float = 0.1
+    max_newton_iters: int = 12
+    t_step_initial: float = 1.0
     t_step_min: float = 1e-3
     damping: float = 0.5
     linear_tol: float = 1e-12

@@ -6,9 +6,11 @@ import pytest
 
 from matorus.cli import main
 from matorus.fieldio import deserialize, serialize
-from matorus.geometry import defects, gauduchon_metric
+from matorus.geometry import defects, gauduchon_metric, gauduchon_residual
 from matorus.grid import GridSpec, ScalarField
 from matorus.problems import metric_from_spec, random_trig_field
+
+from conftest import peak_field_units
 
 
 def write_config(tmp_path, name, obj):
@@ -334,6 +336,46 @@ def test_gauduchon_output_defect_is_the_weight_residual_of_one(tmp_path, count_t
     assert summary["output_gauduchon_defect"] == defects(g_g).gauduchon_defect
 
 
+def test_gauduchon_task_builds_the_weight_operator_of_g_once(tmp_path, monkeypatch):
+    # The planes are built once for g and once for the output metric g_g,
+    # and each operator is applied to the constant 1 once: for g, M(1) is
+    # both the weight solve's right-hand side and the input defect.
+    from matorus import cli, geometry
+
+    builds, images_of_one = [], []
+    coefficient_planes, laplacian_adjoint = geometry.coefficient_planes, geometry.laplacian_adjoint
+
+    def counted_planes(coeff):
+        builds.append(1)
+        return coefficient_planes(coeff)
+
+    def counted_apply(planes, values, grid):
+        if np.all(values == 1.0):
+            images_of_one.append(1)
+        return laplacian_adjoint(planes, values, grid)
+
+    monkeypatch.setattr(geometry, "coefficient_planes", counted_planes)
+    for module in (cli, geometry):
+        monkeypatch.setattr(module, "laplacian_adjoint", counted_apply, raising=False)
+    assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
+    assert len(builds) == 2
+    assert len(images_of_one) == 2
+    monkeypatch.undo()
+    # The summary holds what the stand-alone calls give.
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    g = metric_from_spec(GridSpec(2, 8), {"kind": "conformal", "h": "0.25*cos(2*pi*x2)"})
+    v = deserialize(tmp_path / "out" / "v.field")
+    assert summary["residual"] == gauduchon_residual(g, v)
+    assert summary["input_defects"]["gauduchon"] == defects(g).gauduchon_defect
+
+
+def test_gauduchon_task_memory_budget(tmp_path):
+    # g_g is released before defects(g), whose own peak then sets the
+    # task's: 21.7 fields when g_g was kept, 18.7 without it.
+    cfg = _gauduchon_config(tmp_path)
+    assert peak_field_units(lambda: run_cli(["gauduchon", "--config", cfg]), GridSpec(2, 8)) <= 20.2
+
+
 def _assert_numeric_cells(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -433,6 +475,7 @@ def test_solve_summary_reports_the_coarse_solves(tmp_path):
             "grid": {"complex_dim": 2, "points_per_axis": 12},
             "metric": {"kind": "conformal", "h": "0.2*cos(2*pi*x2)"},
             "rhs": {"expression": "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)"},
+            "solver": {"t_step_initial": 0.1, "max_newton_iters": 30},
         },
     )
     for out in ("a", "b"):

@@ -1,5 +1,6 @@
-"""Fuzzed CLI configs: every run either succeeds or fails with a typed
-error, and a failed run leaves neither a summary nor a temporary file."""
+"""Fuzzed CLI configs for every task that reads a metric: each run either
+succeeds or fails with a typed error, no run leaves a temporary file, and a
+failed run leaves no summary."""
 
 import contextlib
 import copy
@@ -9,10 +10,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matorus.cli import main
+from matorus.fieldio import serialize
+from matorus.grid import GridSpec
+from matorus.problems import random_trig_field
 
 BASE = {
     "grid": {"complex_dim": 2, "points_per_axis": 8},
@@ -20,6 +25,9 @@ BASE = {
     "rhs": {"expression": "0.4*cos(2*pi*x1)"},
     "solver": {"newton_tol": 1e-10, "max_newton_iters": 30},
     "scales": [1.0],
+    "psi": {"h_expression": "0.1*cos(2*pi*x1)"},
+    "phi": {"path": "phi.field"},
+    "b": 0.0,
     "seed": 3,
 }
 
@@ -38,6 +46,11 @@ PATHS = (
     ("solver", "newton_tol"),
     ("solver", "max_newton_iters"),
     ("scales",),
+    ("psi",),
+    ("psi", "h_expression"),
+    ("phi",),
+    ("phi", "path"),
+    ("b",),
     ("seed",),
     ("output_dir",),
 )
@@ -61,18 +74,23 @@ def _mutate(config: dict, path: tuple, value) -> None:
         node[path[-1]] = copy.deepcopy(value)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=150, derandomize=True, deadline=None)
 @given(
-    task=st.sampled_from(["solve", "sweep"]),
+    task=st.sampled_from(["solve", "sweep", "gauduchon", "report", "prescribe-ricci"]),
     mutations=st.lists(
         st.tuples(st.sampled_from(PATHS), st.sampled_from(VALUES)), min_size=1, max_size=3
     ),
 )
 def test_fuzzed_config_succeeds_or_fails_typed(task, mutations):
     config = copy.deepcopy(BASE)
-    for path, value in mutations:
-        _mutate(config, path, value)
     with tempfile.TemporaryDirectory() as tmp:
+        # The report task reads phi from a file; a mutation may replace the
+        # path or point the config at a different grid.
+        phi = Path(tmp, "phi.field")
+        serialize(random_trig_field(GridSpec(2, 8), np.random.default_rng(5), amplitude=0.01), phi)
+        config["phi"]["path"] = str(phi)
+        for path, value in mutations:
+            _mutate(config, path, value)
         cfg = Path(tmp, "config.json")
         cfg.write_text(json.dumps(config))
         out = Path(tmp, "out")

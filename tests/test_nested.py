@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matorus import solver
+from matorus import geometry, solver
 from matorus.errors import ContinuationStalled
 from matorus.expressions import sample_expression
 from matorus.grid import GridSpec, identity_metric, resample
@@ -84,6 +84,25 @@ def test_nested_solve_matches_the_fine_continuation(N):
     assert nested.coarse.phi.grid == GridSpec(2, 8)
     assert [t for t, _, _ in nested.t_trace] == [1.0]
     assert nested.rejected == []
+
+
+def test_nested_solve_newton_budget(monkeypatch):
+    # Every bordered Krylov solve counts: one per Newton iteration, failed
+    # attempts included, plus one conformal-weight solve per grid. The
+    # coarse stage is one Newton solve at t = 1, not a march from t = 0.
+    calls = []
+    original = solver.solve_constrained
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_constrained", counted)
+    monkeypatch.setattr(geometry, "solve_constrained", counted)
+    g, F = _problem(12)
+    res = nested_solve(g, F)
+    assert res.rejected == [] and res.coarse.rejected == []
+    assert len(calls) <= 10
 
 
 def test_nested_solve_recurses_down_to_eight_points():

@@ -7,6 +7,7 @@ from matorus.errors import (
     MaxItersExceeded,
     NotPositiveError,
 )
+from matorus.expressions import sample_expression
 from matorus.geometry import gauduchon_weight
 from matorus.grid import (
     GridSpec,
@@ -18,7 +19,7 @@ from matorus.grid import (
     identity_metric,
     integrate,
 )
-from matorus.problems import random_trig_field
+from matorus.problems import metric_from_spec, random_trig_field
 from matorus.solver import (
     SolverConfig,
     SolveResult,
@@ -340,7 +341,7 @@ class TestContinuity:
     def test_default_path_doubles_step_up_to_one(self, grid8, rng):
         g = identity_metric(grid8)
         F = random_trig_field(grid8, rng, amplitude=0.5, bandwidth=1)
-        res = continuity_solve(g, F)
+        res = continuity_solve(g, F, SolverConfig(t_step_initial=0.1, max_newton_iters=30))
         ts = [t for t, _, _ in res.t_trace]
         assert ts == pytest.approx([0.1, 0.3, 0.7, 1.0], abs=1e-12)
         assert ts[-1] == 1.0
@@ -364,6 +365,21 @@ class TestContinuity:
         assert ts == sorted(ts)
         assert len(ts) > 4
         assert all(r <= 1e-10 for _, _, r in res.t_trace)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_solves_conformal_in_one_step(self, n):
+        # The default first attempt is Newton at t = 1, and on this smooth
+        # problem it converges: no march, nothing rejected.
+        grid = GridSpec(n, 8)
+        g = metric_from_spec(grid, {"kind": "conformal", "h": "0.2*cos(2*pi*x2)"})
+        F = sample_expression("0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)", grid)
+        config = SolverConfig()
+        res = continuity_solve(g, F, config)
+        [(t, iters, r)] = res.t_trace
+        assert t == 1.0 and iters >= 1 and r <= config.newton_tol
+        assert res.rejected == []
+        residual = ma_log_residual(g, res.phi, F, res.b)
+        assert np.max(np.abs(residual.values)) <= config.newton_tol
 
 
 class TestSpectralConvergence:
