@@ -33,13 +33,12 @@ from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
 from .fieldio import _write_atomic, serialize
-from .geometry import defects, gauduchon_metric, gauduchon_residual, ricci_form, weight_planes
+from .geometry import defects, gauduchon_residual, gauduchon_weight, ricci_form, weight_planes
 from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
     complex_hessian,
-    constant_field,
     min_eigenvalue,
 )
 from .jets import run_identity_fuzz
@@ -221,18 +220,19 @@ def _task_sweep(cfg: RunConfig, out: str) -> dict:
 def _task_gauduchon(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     # The weight operator M of g is built once. Its image M(1) is both the
-    # weight solve's right-hand side and the input Gauduchon defect.
+    # weight solve's right-hand side and the input Gauduchon defect, and
+    # M(e^{(n-1)u}) = M_{e^u g}(1) gives the defect of the output metric.
     planes = weight_planes(g)
     m_one = laplacian_adjoint(planes, np.ones(cfg.grid.shape), cfg.grid)
-    g_g, u, v = gauduchon_metric(g, planes, m_one)
+    u, v = gauduchon_weight(g, planes=planes, m_one=m_one)
     gauduchon_defect = float(np.max(np.abs(m_one)))
     # Whatever defects(g) does not need is released before it runs, so its
-    # own peak, not g_g's, sets the task's.
+    # own peak sets the task's.
     del m_one
-    output_defect = gauduchon_residual(g_g, constant_field(cfg.grid, 1.0))
-    del g_g
+    weight = np.exp((cfg.grid.complex_dim - 1) * u.values)
+    output_defect = float(np.max(np.abs(laplacian_adjoint(planes, weight, cfg.grid))))
     residual = gauduchon_residual(g, v, planes)
-    del planes
+    del planes, weight
     serialize(u, os.path.join(out, "u.field"))
     serialize(v, os.path.join(out, "v.field"))
     d = defects(g, gauduchon_defect)

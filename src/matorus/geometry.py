@@ -14,13 +14,14 @@ C = (n-1)! adj(g)^T (``_weight_coefficient_fields``, from
 ``grid._adjugate``). The coefficient of omega^{n-1} on the form
 complementary to dz^p dzbar^m contracts two Levi-Civita symbols with n-1
 factors of g; each of the (n-1)! orderings of the factors gives the same
-cofactor of g, adj(g)[m, p]. The operator is the adjoint Laplacian
-``linsolve.laplacian_adjoint`` with the
-coefficient planes of C (``weight_planes``), built once per
-``gauduchon_weight`` or ``gauduchon_residual`` call unless the caller
-passes them in, as the ``gauduchon`` task does for g. The kernel is
-obtained by one deflated Krylov solve in the mean-zero complement
-(``linsolve.solve_constrained``).
+cofactor of g, adj(g)[m, p]. The operator M is the adjoint Laplacian
+``linsolve.laplacian_adjoint`` with the coefficient planes of C
+(``weight_planes``), built once per ``gauduchon_weight`` or
+``gauduchon_residual`` call unless the caller passes them in, as the
+``gauduchon`` task does for g. C(e^u g) = e^{(n-1)u} C(g) exactly, so
+M_{e^u g}(f) = M(e^{(n-1)u} f): the task takes the Gauduchon defect of
+e^u g as sup |M(e^{(n-1)u})|. The kernel is obtained by one deflated
+Krylov solve in the mean-zero complement (``linsolve.solve_constrained``).
 
 The first derivatives of the metric enter only antisymmetrized,
 d_i g_{jl-bar} - d_j g_{il-bar} (the coefficients of d omega), and one
@@ -31,8 +32,7 @@ entry at a time, never the n^3 tensor of ``metric_derivatives``.
 ``defects`` reduces the entries to the Kahler defect and the torsion
 trace as they come; ``torsion`` and ``chern.closedness_defect`` take
 them from the same kernel. ``defects`` takes its Gauduchon defect,
-sup |M(1)|, from ``gauduchon_residual``, or from a caller that already
-applied M to 1 for the weight solve.
+sup |M(1)|, from ``gauduchon_residual`` unless the caller has it.
 
 Every differential operator here is spectral and raises
 GridMismatchError on a central-difference grid. For n=2 wedge pairings

@@ -429,11 +429,15 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return adj
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    out = _adjugate(m)
+    out /= _det(m)[..., None, None]
+    return out
+
+
 def inverse(h: HermitianField) -> np.ndarray:
     """Pointwise inverse adj(h) / det(h), returned as a raw array."""
-    out = _adjugate(h.values)
-    out /= _det(h.values)[..., None, None]
-    return out
+    return _inverse(h.values)
 
 
 def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:

@@ -86,11 +86,12 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
+    _det,
     _eigmin_grid,
+    _inverse,
     _require_spectral,
     complex_hessian,
     det,
-    inverse,
     resample,
 )
 from .linsolve import laplacian, laplacian_planes, solve_constrained
@@ -206,17 +207,17 @@ def newton_solve(
 
     logdet_g = np.log(det(g))
     gp = g.values + complex_hessian(phi, grid)
-    emin = _eigmin_grid(gp, n)
-    emin_cur = float(emin.min())
-    if emin_cur <= 0.0:
+    emin_cur = float(_eigmin_grid(gp, n).min())
+    if not emin_cur > 0.0:
         raise NotPositiveError(
             f"initial iterate is not positive-admissible: min eigenvalue {emin_cur:.3e}"
         )
 
+    # gp stays exactly Hermitian (symmetrized g, exact complex_hessian, real
+    # steps) and positive (the line search), so it is not validated again.
     history = []
     for _ in range(config.max_newton_iters):
-        gp_field = HermitianField(grid, gp)
-        residual = np.log(det(gp_field)) - logdet_g - F_target.values - float(b)
+        residual = np.log(_det(gp).real) - logdet_g - F_target.values - float(b)
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
         if res_norm <= config.newton_tol:
@@ -232,7 +233,7 @@ def newton_solve(
 
         eta, db = solve_constrained(
             laplacian,
-            laplacian_planes(inverse(gp_field)),
+            laplacian_planes(_inverse(gp)),
             rhs=-residual,
             weights=w,
             constraint_rhs=-float((w * phi).sum()),

@@ -262,6 +262,14 @@ class TestNewton:
         with pytest.raises(NotPositiveError):
             newton_solve(g, constant_field(grid8), initial=(bad.values, 0.0))
 
+    def test_non_finite_initial_is_not_admissible(self, grid8):
+        # The iterates are not revalidated as fields, so the admissibility
+        # check is what rejects a NaN start.
+        bad = np.zeros(grid8.shape)
+        bad[0, 0, 0, 0] = np.nan
+        with pytest.raises(NotPositiveError):
+            newton_solve(identity_metric(grid8), constant_field(grid8), initial=(bad, 0.0))
+
     def test_requires_spectral_scheme(self):
         grid = GridSpec(2, 8, "central_difference_4")
         with pytest.raises(ConfigError):
