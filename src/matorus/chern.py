@@ -48,6 +48,10 @@ from .grid import (
 from .linsolve import laplacian, laplacian_planes, solve_constrained
 from .solver import SolverConfig, SolveResult, _constraint_weights, continuity_solve
 
+# Largest sup|d(psi)| accepted as closed and largest pairing accepted as zero.
+_CLOSED_TOL = 1e-8
+_CONSTRAINT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PrescriptionResult:
@@ -68,7 +72,6 @@ def constraint_integral(
     g: HermitianField,
     psi: HermitianField,
     omega_G: HermitianField,
-    closed_tol: float = 1e-8,
 ) -> float:
     """Pairing of Ric(omega) - psi against the distinguished metric.
 
@@ -79,9 +82,9 @@ def constraint_integral(
     if g.grid.complex_dim != 2:
         raise GridMismatchError("the prescription pipeline is defined for n=2 only")
     defect = closedness_defect(psi)
-    if defect > closed_tol:
+    if defect > _CLOSED_TOL:
         raise NotClosedError(
-            f"psi is not closed: d(psi) coefficient sup-norm {defect:.3e} > {closed_tol:.1e}"
+            f"psi is not closed: d(psi) coefficient sup-norm {defect:.3e} > {_CLOSED_TOL:.1e}"
         )
     return wedge_integral(ricci_form(g) - psi, omega_G)
 
@@ -110,8 +113,6 @@ def prescribe_ricci(
     g: HermitianField,
     psi: HermitianField,
     config: SolverConfig | None = None,
-    constraint_tol: float = 1e-8,
-    closed_tol: float = 1e-8,
 ) -> PrescriptionResult:
     """Full prescription pipeline (n=2); see the module docstring."""
     config = config or SolverConfig()
@@ -119,10 +120,10 @@ def prescribe_ricci(
     grid = g.grid
     g_g, _, v = gauduchon_metric(g)
 
-    c = constraint_integral(g, psi, g_g, closed_tol=closed_tol)
-    if abs(c) > constraint_tol:
+    c = constraint_integral(g, psi, g_g)
+    if abs(c) > _CONSTRAINT_TOL:
         raise ConstraintViolated(
-            f"pairing obstruction {c:.6e} exceeds tolerance {constraint_tol:.1e}"
+            f"pairing obstruction {c:.6e} exceeds tolerance {_CONSTRAINT_TOL:.1e}"
         )
 
     ric = ricci_form(g)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .chern import prescribe_ricci
-from .errors import ConfigError, MatorusError
+from .errors import ConfigError, GridMismatchError, MatorusError
 from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
@@ -109,11 +109,19 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
         )
     gspec = raw.get("grid")
     _require(isinstance(gspec, dict), "config field 'grid' must be an object")
+    grid_keys = ("complex_dim", "points_per_axis", "diff_scheme")
+    for key in sorted(gspec):
+        _require(key in grid_keys, f"unknown config field 'grid.{key}'; one of {grid_keys}")
     grid = GridSpec(
         complex_dim=_require_int(gspec.get("complex_dim", 2), "grid.complex_dim"),
         points_per_axis=_require_int(gspec.get("points_per_axis", 16), "grid.points_per_axis"),
-        diff_scheme=gspec.get("diff_scheme", "fourier_collocation"),
     )
+    # Every derivative is Fourier collocation; the key may only name it.
+    scheme = gspec.get("diff_scheme", "fourier_collocation")
+    if scheme != "fourier_collocation":
+        raise GridMismatchError(
+            f"unsupported grid.diff_scheme {scheme!r}; only 'fourier_collocation' is available"
+        )
     _require(
         grid.npoints * grid.complex_dim**2 * 16 <= _physical_memory(),
         f"grid n={grid.complex_dim} N={grid.points_per_axis} is too large: one metric array "

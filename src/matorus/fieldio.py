@@ -70,9 +70,8 @@ def serialize(fld, path) -> None:
 def deserialize(path, grid: GridSpec | None = None):
     """Read a field file; validates against ``grid`` when one is given.
 
-    Returns a ScalarField or HermitianField on a fresh GridSpec with the
-    default differentiation scheme (the file format does not carry one),
-    or on the provided grid if its dimensions match.
+    Returns a ScalarField or HermitianField on a fresh GridSpec of the
+    header's dimensions, or on the provided grid if its dimensions match.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:

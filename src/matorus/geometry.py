@@ -28,14 +28,14 @@ d_i g_{jl-bar} - d_j g_{il-bar} (the coefficients of d omega), and one
 kernel gives them: ``antisymmetric_pairs`` yields the entries with i < j,
 one column l at a time. It costs n^2 forward and n^2 (n-1) inverse c2c
 transforms (4 and 4 at n=2, 9 and 18 at n=3) and holds n spectra and one
-entry at a time, never the n^3 tensor of ``metric_derivatives``.
+entry at a time, never the full n^3 tensor of derivatives d_k g_{ij-bar}.
 ``defects`` reduces the entries to the Kahler defect and the torsion
 trace as they come; ``torsion`` and ``chern.closedness_defect`` take
 them from the same kernel. ``defects`` takes its Gauduchon defect,
 sup |M(1)|, from ``gauduchon_residual`` unless the caller has it.
 
-Every differential operator here is spectral and raises
-GridMismatchError on a central-difference grid. For n=2 wedge pairings
+Every differential operator here is Fourier-spectral, through the
+symbols of ``grid``. For n=2 wedge pairings
 of (1,1)-forms reduce to the mixed determinant ``pair_density``,
 tr(adj(a) b); ``wedge_integral`` shares the volume normalization of
 ``grid.integrate`` (flat identity metric has volume 1).
@@ -61,7 +61,6 @@ from .grid import (
     _fftn,
     _holo_symbols,
     _ifftn,
-    _require_spectral,
     coefficient_planes,
     complex_hessian,
     constant_field,
@@ -71,21 +70,10 @@ from .grid import (
 )
 from .linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 
-
-def metric_derivatives(g: HermitianField) -> np.ndarray:
-    """Holomorphic derivatives d_k g_{ij-bar}, shape grid + (k, i, j): the
-    full n^3 tensor, which no defect needs (see ``antisymmetric_pairs``)."""
-    grid = g.grid
-    _require_spectral(grid, "metric derivatives")
-    n = grid.complex_dim
-    out = np.empty(grid.shape + (n, n, n), dtype=np.complex128)
-    sig = _holo_symbols(grid)
-    for i in range(n):
-        for j in range(n):
-            spec = _fftn(g.values[..., i, j])
-            for k in range(n):
-                out[..., k, i, j] = _ifftn(sig[k] * spec)
-    return out
+# Conformal-weight solve: Krylov rtol and iteration cap, and the max|M(v)|/max|v| v must reach.
+_WEIGHT_RTOL = 1e-13
+_WEIGHT_MAXITER = 60
+_WEIGHT_CONTRACT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -105,10 +93,8 @@ def antisymmetric_pairs(g: HermitianField):
     one column l at a time: n forward c2c transforms per column and two
     inverse ones per pair, n^2 and n^2 (n - 1) in all. The n^3 derivative
     tensor is never built; each entry is computed as
-    ifftn(sigma_i F g_jl) - ifftn(sigma_j F g_il), as ``metric_derivatives``
-    would give it."""
+    ifftn(sigma_i F g_jl) - ifftn(sigma_j F g_il), sigma_k the symbol of d_k."""
     grid = g.grid
-    _require_spectral(grid, "metric derivatives")
     n = grid.complex_dim
     sig = _holo_symbols(grid)
     for l in range(n):
@@ -218,9 +204,6 @@ def ricci_form(g: HermitianField) -> HermitianField:
 
 def gauduchon_weight(
     g: HermitianField,
-    contract_tol: float = 1e-8,
-    inner_rtol: float = 1e-13,
-    inner_maxiter: int = 60,
     planes: tuple | None = None,
     m_one: np.ndarray | None = None,
 ) -> tuple:
@@ -262,12 +245,12 @@ def gauduchon_weight(
         weights=np.full(shape, 1.0 / grid.npoints),
         constraint_rhs=0.0,
         grid=grid,
-        rtol=inner_rtol,
-        maxiter=inner_maxiter,
+        rtol=_WEIGHT_RTOL,
+        maxiter=_WEIGHT_MAXITER,
     )
     v = 1.0 + xi
     resid = float(np.max(np.abs(laplacian_adjoint(planes, v, grid))) / np.max(np.abs(v)))
-    if resid > contract_tol:
+    if resid > _WEIGHT_CONTRACT_TOL:
         raise LinearSolverStalled(
             f"conformal-weight solve stalled at relative residual {resid:.3e}"
         )

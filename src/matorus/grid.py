@@ -9,12 +9,8 @@ Holomorphic derivatives are Wirtinger operators
     d_j     = (d/dx^j - i d/dy^j) / 2,
     d_jbar  = (d/dx^j + i d/dy^j) / 2.
 
-The default scheme is Fourier collocation, which differentiates
-trigonometric polynomials of degree < N/2 exactly; central differences of
-order k are kept to cross-validate the single-axis derivatives
-(``d_real``, ``d_holo``, ``d_antiholo``) only; ``complex_hessian`` and
-every other multi-derivative kernel raise GridMismatchError on such a
-grid. First-derivative Fourier
+Every derivative is Fourier collocation, which differentiates
+trigonometric polynomials of degree < N/2 exactly. First-derivative
 multipliers vanish at the Nyquist frequency (exact for the symmetric mode
 interpretation, and keeps real fields real); same-axis second derivatives
 keep the full Nyquist symbol, so the discrete Laplacian's kernel is
@@ -53,15 +49,6 @@ from .errors import GridMismatchError, NotPositiveError
 
 HERMITIAN_RTOL = 1e-13
 
-_CD_COEFFS = {
-    2: [1.0 / 2.0],
-    4: [2.0 / 3.0, -1.0 / 12.0],
-    6: [3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0],
-    8: [4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0],
-}
-
-_SCHEMES = ("fourier_collocation",) + tuple(f"central_difference_{k}" for k in _CD_COEFFS)
-
 
 def _workers() -> int:
     try:
@@ -92,7 +79,6 @@ class GridSpec:
 
     complex_dim: int
     points_per_axis: int
-    diff_scheme: str = "fourier_collocation"
 
     def __post_init__(self):
         if self.complex_dim not in (2, 3):
@@ -100,10 +86,6 @@ class GridSpec:
         N = self.points_per_axis
         if N < 8 or N % 2 != 0:
             raise GridMismatchError(f"points_per_axis must be even and >= 8, got {N}")
-        if self.diff_scheme not in _SCHEMES:
-            raise GridMismatchError(
-                f"unknown diff_scheme {self.diff_scheme!r}; one of {_SCHEMES}"
-            )
 
     @property
     def shape(self) -> tuple:
@@ -233,32 +215,15 @@ def coefficient_planes(coeff: np.ndarray) -> tuple:
     return tuple(planes)
 
 
-def _require_spectral(grid: GridSpec, what: str, error=GridMismatchError) -> None:
-    """Raise ``error`` unless the grid uses Fourier collocation."""
-    if grid.diff_scheme != "fourier_collocation":
-        raise error(
-            f"{what} requires the spectral scheme; central differences are "
-            "kept for single-axis derivative cross-checks only"
-        )
-
-
 def _real_axis_derivative(values: np.ndarray, grid: GridSpec, real_axis: int):
-    """d/d(coordinate) along one real axis, scheme taken from the grid."""
+    """d/d(coordinate) along one real axis."""
     N = grid.points_per_axis
-    if grid.diff_scheme == "fourier_collocation":
-        spec = _sfft.fft(values, axis=real_axis, workers=_workers())
-        m = _frequencies(N)
-        shape = [1] * values.ndim
-        shape[real_axis] = N
-        out = _sfft.ifft(spec * (2j * np.pi * m.reshape(shape)), axis=real_axis, workers=_workers())
-        return out if np.iscomplexobj(values) else out.real
-    k = int(grid.diff_scheme.rsplit("_", 1)[1])
-    acc = np.zeros_like(values, dtype=np.result_type(values, float))
-    for offset, c in enumerate(_CD_COEFFS[k], start=1):
-        acc += c * N * (
-            np.roll(values, -offset, axis=real_axis) - np.roll(values, offset, axis=real_axis)
-        )
-    return acc
+    spec = _sfft.fft(values, axis=real_axis, workers=_workers())
+    m = _frequencies(N)
+    shape = [1] * values.ndim
+    shape[real_axis] = N
+    out = _sfft.ifft(spec * (2j * np.pi * m.reshape(shape)), axis=real_axis, workers=_workers())
+    return out if np.iscomplexobj(values) else out.real
 
 
 @dataclass(frozen=True)
@@ -485,11 +450,10 @@ def d_real(f: ScalarField, real_axis: int) -> ScalarField:
 def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """All entries d_i d_jbar f as an array of shape grid.shape + (n, n).
 
-    Spectral only. Real input takes one real forward transform and n^2
-    real inverse ones from ``real_hessian_symbols``; the result is exactly
-    Hermitian. Complex input is split into its real and imaginary parts.
+    Real input takes one real forward transform and n^2 real inverse ones
+    from ``real_hessian_symbols``; the result is exactly Hermitian. Complex
+    input is split into its real and imaginary parts.
     """
-    _require_spectral(grid, "the complex Hessian")
     if np.iscomplexobj(values):
         return complex_hessian(values.real, grid) + 1j * complex_hessian(values.imag, grid)
     n, shape = grid.complex_dim, grid.shape

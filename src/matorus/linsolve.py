@@ -57,7 +57,6 @@ from .errors import LinearSolverStalled
 from .grid import (
     GridSpec,
     _irfftn,
-    _require_spectral,
     _rfftn,
     coefficient_planes,
     real_hessian_symbols,
@@ -75,7 +74,6 @@ def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_k planes[k] * irfftn(S_k * rfftn(f)), trace(G^-1 Hess f) for the
     planes of ``laplacian_planes``: one real forward transform and n^2 real
     inverse ones; complex input is split into its real and imaginary parts."""
-    _require_spectral(grid, "the Laplacian")
     if np.iscomplexobj(values):
         return laplacian(planes, values.real, grid) + 1j * laplacian(planes, values.imag, grid)
     spec = _rfftn(values)
@@ -89,7 +87,6 @@ def laplacian_adjoint(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.n
     """irfftn(sum_k S_k * rfftn(planes[k] * v)) for real v, the L2 adjoint
     of ``laplacian`` with the same planes: n^2 real forward transforms and
     one real inverse one."""
-    _require_spectral(grid, "the adjoint Laplacian")
     symbols = real_hessian_symbols(grid)
     acc = symbols[0] * _rfftn(values * planes[0])
     for coeff, symbol in zip(planes[1:], symbols[1:]):

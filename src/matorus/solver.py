@@ -89,7 +89,6 @@ from .grid import (
     _det,
     _eigmin_grid,
     _inverse,
-    _require_spectral,
     complex_hessian,
     det,
     resample,
@@ -190,7 +189,6 @@ def newton_solve(
     """
     config = config or SolverConfig()
     grid = g.grid
-    _require_spectral(grid, "solving", ConfigError)
     n = grid.complex_dim
     g = g.as_metric()
     w = _constraint_weights(g) if constraint_weights is None else constraint_weights

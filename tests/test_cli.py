@@ -324,6 +324,45 @@ def test_central_difference_grid_rejected_by_spectral_tasks(tmp_path, capsys, ta
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_explicit_fourier_scheme_matches_the_default(tmp_path):
+    base = {"grid": BASE_GRID, "metric": {"kind": "conformal", "h": "0.25*cos(2*pi*x2)"}}
+    explicit = {**base, "grid": {**BASE_GRID, "diff_scheme": "fourier_collocation"}}
+    for name, config in (("default", base), ("explicit", explicit)):
+        cfg = write_config(tmp_path, f"{name}.json", config)
+        assert run_cli(["gauduchon", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    for artifact in ("summary.json", "u.field", "v.field"):
+        a = (tmp_path / "default" / artifact).read_bytes()
+        assert a == (tmp_path / "explicit" / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "central_difference_4", 4, None])
+def test_other_diff_scheme_is_a_grid_mismatch(tmp_path, capsys, scheme):
+    cfg = write_config(
+        tmp_path,
+        "scheme.json",
+        {"grid": {**BASE_GRID, "diff_scheme": scheme}, "metric": {"kind": "flat"}},
+    )
+    assert run_cli(["gauduchon", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "grid_mismatch"
+    assert "diff_scheme" in err["error"]["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("key", ["points_per_axes", "n", "diffscheme"])
+def test_unknown_grid_key_is_a_config_error(tmp_path, capsys, key):
+    cfg = write_config(
+        tmp_path,
+        "typo.json",
+        {"grid": {"complex_dim": 2, key: 8}, "metric": {"kind": "flat"}},
+    )
+    assert run_cli(["gauduchon", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
+    assert f"grid.{key}" in err["error"]["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_gauduchon_output_defect_is_the_weight_residual_of_one(tmp_path, count_transforms):
     assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
     # Only the input metric is differentiated: one antisymmetric_pairs pass,

@@ -231,16 +231,6 @@ class TestGauduchon:
         diff = u.values + h.values
         assert np.max(diff) - np.min(diff) < 1e-7
 
-    def test_requires_spectral_scheme(self, rng):
-        grid = GridSpec(2, 8, "central_difference_4")
-        g = identity_metric(grid).scaled(2.0).as_metric()
-        vals = g.values.copy()
-        vals[..., 0, 0] *= np.exp(
-            0.1 * np.cos(2 * np.pi * np.broadcast_to(grid.axis_coordinate(2), grid.shape))
-        )
-        with pytest.raises(GridMismatchError):
-            gauduchon_weight(HermitianField(grid, vals))
-
 
 class TestRicci:
     def test_flat_zero(self, grid8):
@@ -343,19 +333,3 @@ class TestPartsIdentity:
             )
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
-
-@pytest.mark.parametrize(
-    "op",
-    [
-        lambda g, f: ddbar(f),
-        lambda g, f: canonical_laplacian(g, f),
-        lambda g, f: ricci_form(g),
-        lambda g, f: defects(g),
-    ],
-    ids=["ddbar", "canonical_laplacian", "ricci_form", "defects"],
-)
-def test_multi_derivative_operators_require_spectral_scheme(op):
-    grid = GridSpec(2, 8, "central_difference_4")
-    f = ScalarField(grid, np.cos(2 * np.pi * np.broadcast_to(grid.axis_coordinate(0), grid.shape)))
-    with pytest.raises(GridMismatchError):
-        op(identity_metric(grid), f)

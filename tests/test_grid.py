@@ -28,24 +28,20 @@ from conftest import peak_field_units, sample
 
 def test_gridspec_validation():
     GridSpec(2, 8)
-    GridSpec(3, 8, "central_difference_4")
     with pytest.raises(GridMismatchError):
         GridSpec(4, 8)
     with pytest.raises(GridMismatchError):
         GridSpec(2, 7)
     with pytest.raises(GridMismatchError):
         GridSpec(2, 6)
-    with pytest.raises(GridMismatchError):
-        GridSpec(2, 8, "upwind")
 
 
 def test_derivative_of_constant_is_zero():
-    for scheme in ("fourier_collocation", "central_difference_2", "central_difference_6"):
-        grid = GridSpec(2, 8, scheme)
-        f = constant_field(grid, 3.7)
-        for ax in range(2):
-            assert np.max(np.abs(d_holo(f, ax).values)) == 0.0
-            assert np.max(np.abs(d_antiholo(f, ax).values)) == 0.0
+    grid = GridSpec(2, 8)
+    f = constant_field(grid, 3.7)
+    for ax in range(2):
+        assert np.max(np.abs(d_holo(f, ax).values)) == 0.0
+        assert np.max(np.abs(d_antiholo(f, ax).values)) == 0.0
 
 
 def test_d_holo_cosine_oracle(grid16):
@@ -91,29 +87,6 @@ def test_axis_out_of_range(grid8):
         d_holo(f, 2)
     with pytest.raises(GridMismatchError):
         d_antiholo(f, -1)
-
-
-def test_central_difference_convergence_order():
-    errs = {}
-    for N in (16, 32):
-        grid = GridSpec(2, N, "central_difference_4")
-        f = sample(grid, lambda c: np.sin(2 * np.pi * c["x1"]))
-        got = d_real(f, 0).values
-        want = sample(grid, lambda c: 2 * np.pi * np.cos(2 * np.pi * c["x1"])).values
-        errs[N] = np.max(np.abs(got - want))
-    order = np.log2(errs[16] / errs[32])
-    assert 3.5 < order < 4.5
-
-
-def test_central_difference_cross_validates_fourier(rng):
-    gf = GridSpec(2, 16)
-    gc = GridSpec(2, 16, "central_difference_8")
-    vals = np.broadcast_to(
-        np.sin(2 * np.pi * gf.axis_coordinate(0)), gf.shape
-    ).copy()
-    df = d_holo(ScalarField(gf, vals), 0).values
-    dc = d_holo(ScalarField(gc, vals), 0).values
-    assert np.max(np.abs(df - dc)) < 1e-4
 
 
 def test_ddbar_zero_and_cosine(grid16):
@@ -177,12 +150,11 @@ def test_integrate_rejects_non_metric(grid8):
 
 
 def test_discrete_divergence_theorem(rng):
-    for scheme in ("fourier_collocation", "central_difference_4"):
-        grid = GridSpec(2, 8, scheme)
-        f = ScalarField(grid, rng.standard_normal(grid.shape))
-        g = identity_metric(grid)
-        for ax in range(4):
-            assert abs(integrate(d_real(f, ax), g)) < 1e-13
+    grid = GridSpec(2, 8)
+    f = ScalarField(grid, rng.standard_normal(grid.shape))
+    g = identity_metric(grid)
+    for ax in range(4):
+        assert abs(integrate(d_real(f, ax), g)) < 1e-13
 
 
 def test_measure_weights_sum_to_one(grid8, rng):

@@ -270,11 +270,6 @@ class TestNewton:
         with pytest.raises(NotPositiveError):
             newton_solve(identity_metric(grid8), constant_field(grid8), initial=(bad, 0.0))
 
-    def test_requires_spectral_scheme(self):
-        grid = GridSpec(2, 8, "central_difference_4")
-        with pytest.raises(ConfigError):
-            newton_solve(identity_metric(grid), constant_field(grid))
-
 
 class TestContinuity:
     def test_zero_rhs_trivial_path(self, grid8):

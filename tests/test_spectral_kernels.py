@@ -3,9 +3,10 @@ they replaced, and the transform counts of one apply.
 
 The references below are the c2c formulations: every transform is a
 complex ``fftn``/``ifftn`` of the full spectrum with the symbols of
-``grid.hessian_symbol``, and the real part is taken at the end. The
-real-input kernels sum in another order, so they agree to rounding only;
-the tolerance is fixed at 1e-12 of the reference's sup-norm.
+``grid.hessian_symbol``, and the real part is taken at the end; the
+first derivatives of the metric take the symbols of ``grid._holo_symbols``.
+The real-input kernels sum in another order, so they agree to rounding
+only; the tolerance is fixed at 1e-12 of the reference's sup-norm.
 """
 
 import itertools
@@ -17,11 +18,11 @@ import scipy.fft as sfft
 from matorus.geometry import (
     _weight_coefficient_fields,
     defects,
-    metric_derivatives,
     torsion,
 )
 from matorus.grid import (
     GridSpec,
+    _holo_symbols,
     coefficient_planes,
     complex_hessian,
     hessian_symbol,
@@ -61,6 +62,19 @@ def ref_hessian(values, grid):
 
 def ref_laplacian(ginv, values, grid):
     return np.einsum("...ij,...ji->...", ginv, ref_hessian(values, grid)).real
+
+
+def ref_metric_derivatives(gvals, grid):
+    """d_k g_{ij-bar}, shape grid + (k, i, j): the full n^3 tensor."""
+    n = grid.complex_dim
+    sig = _holo_symbols(grid)
+    out = np.empty(grid.shape + (n, n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            spec = sfft.fftn(gvals[..., i, j])
+            for k in range(n):
+                out[..., k, i, j] = sfft.ifftn(sig[k] * spec)
+    return out
 
 
 def ref_weight_operator(vvals, cfields, grid):
@@ -137,7 +151,7 @@ def test_frozen_symbol_is_the_half_spectrum_of_the_full_one(data):
 def test_defects_match_torsion_and_reference_operator(grid8, rng):
     g = random_metric(grid8, rng)
     d = defects(g)
-    dg = metric_derivatives(g)
+    dg = ref_metric_derivatives(g.values, grid8)
     assert d.kaehler_defect == float(np.max(np.abs(dg - np.swapaxes(dg, -3, -2))))
     balanced = float(np.max(np.abs(torsion(g).trace())))
     assert abs(d.balanced_defect - balanced) <= RTOL * balanced
