@@ -46,7 +46,7 @@ from .grid import (
     measure_weights,
 )
 from .linsolve import laplacian, laplacian_planes, solve_constrained
-from .solver import SolverConfig, SolveResult, _constraint_weights, continuity_solve
+from .solver import SolverConfig, SolveResult, continuity_solve
 
 # Largest sup|d(psi)| accepted as closed and largest pairing accepted as zero.
 _CLOSED_TOL = 1e-8
@@ -95,17 +95,15 @@ def _poisson_solve_gauduchon(
     config: SolverConfig,
 ) -> np.ndarray:
     """Solve laplacian_G f = rhs in the mean-zero gauge of g_G's measure."""
-    w = measure_weights(g_g)
     f, _ = solve_constrained(
         laplacian,
         laplacian_planes(inverse(g_g)),
         rhs=rhs,
-        weights=w,
-        constraint_rhs=0.0,
         grid=g_g.grid,
         rtol=config.linear_tol,
         maxiter=config.linear_maxiter,
     )
+    w = measure_weights(g_g)
     return f - (w * f).sum()
 
 
@@ -118,7 +116,7 @@ def prescribe_ricci(
     config = config or SolverConfig()
     g = g.as_metric()
     grid = g.grid
-    g_g, _, v = gauduchon_metric(g)
+    g_g, _, _ = gauduchon_metric(g)
 
     c = constraint_integral(g, psi, g_g)
     if abs(c) > _CONSTRAINT_TOL:
@@ -139,7 +137,7 @@ def prescribe_ricci(
     l2_sq = integrate(ScalarField(grid, np.maximum(form_norm_sq(a, g_g).values, 0.0)), g_g)
     a_l2 = float(np.sqrt(max(l2_sq, 0.0)))
 
-    solve = continuity_solve(g, f, config, constraint_weights=_constraint_weights(g, v))
+    solve = continuity_solve(g, f, config)
 
     gp_vals = g.values + complex_hessian(solve.phi.values, grid)
     logratio = np.log(det(HermitianField(grid, gp_vals))) - np.log(det(g))

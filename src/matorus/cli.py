@@ -50,6 +50,10 @@ log = logging.getLogger("matorus")
 
 TASKS = ("solve", "sweep", "gauduchon", "verify-identities", "prescribe-ricci", "report")
 
+# Top-level config keys: the common ones, then every task's own (``extras``).
+_COMMON_KEYS = ("task", "grid", "metric", "rhs", "solver", "seed", "output_dir")
+_EXTRA_KEYS = ("scales", "psi", "phi", "b")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -103,6 +107,11 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    for key in raw:
+        _require(
+            key in _COMMON_KEYS or key in _EXTRA_KEYS,
+            f"unknown config field {key!r}; one of {_COMMON_KEYS + _EXTRA_KEYS}",
+        )
     if "task" in raw and raw["task"] != task:
         raise ConfigError(
             f"config file declares task {raw['task']!r} but the {task!r} subcommand was invoked"
@@ -139,8 +148,7 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
         seed = seed_override
     out = out_override or raw.get("output_dir", "out")
     _require(isinstance(out, str) and out, "config field 'output_dir' must be a nonempty string")
-    known = {"task", "grid", "metric", "rhs", "solver", "seed", "output_dir"}
-    extras = {k: v for k, v in raw.items() if k not in known}
+    extras = {k: raw[k] for k in _EXTRA_KEYS if k in raw}
     return RunConfig(
         task=task,
         grid=grid,

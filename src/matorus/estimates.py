@@ -24,13 +24,7 @@ import numpy as np
 from .errors import ContinuationStalled, MatorusError
 from .grid import HermitianField, ScalarField, complex_hessian, measure_weights
 from .geometry import trace_pair
-from .solver import (
-    SolverConfig,
-    SolveResult,
-    _constraint_weights,
-    continuity_solve,
-    newton_finish,
-)
+from .solver import SolverConfig, SolveResult, continuity_solve, newton_finish
 
 TRIAL_EXPONENTS = (0.5, 1.0, 2.0, 4.0)
 ALPHA_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -131,14 +125,11 @@ def sweep(
     fails. Otherwise, and always for s = 0, ``continuity_solve`` runs
     from t = 0.
 
-    The conformal weight of g is solved once for all scales; its failure
-    concerns the metric, not a scale, and is raised. Solver failures are
-    recorded per entry without aborting the sweep. ``MA_THREADS`` sets only
-    the FFT workers inside each solve.
+    Solver failures are recorded per entry without aborting the sweep.
+    ``MA_THREADS`` sets only the FFT workers inside each solve.
     """
     config = config or SolverConfig()
     g = g.as_metric()
-    w = _constraint_weights(g)
     solved = []
 
     def one(s: float) -> SweepEntry:
@@ -147,9 +138,9 @@ def sweep(
         start = near.scale if near is not None and abs(s - near.scale) < abs(s) else None
         try:
             if start is None:
-                res = continuity_solve(g, Fs, config, constraint_weights=w)
+                res = continuity_solve(g, Fs, config)
             else:
-                res = newton_finish(g, Fs, config, lambda: (near.result.phi, near.result.b), w)
+                res = newton_finish(g, Fs, config, lambda: (near.result.phi, near.result.b))
             entry = SweepEntry(
                 scale=s, report=report(g, res), result=res, start=start, rejected=res.rejected
             )

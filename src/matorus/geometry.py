@@ -242,8 +242,6 @@ def gauduchon_weight(
         laplacian_adjoint,
         planes,
         rhs=rhs,
-        weights=np.full(shape, 1.0 / grid.npoints),
-        constraint_rhs=0.0,
         grid=grid,
         rtol=_WEIGHT_RTOL,
         maxiter=_WEIGHT_MAXITER,

@@ -17,10 +17,13 @@ fields of a metric the second is the coefficient of d dbar (v omega^{n-1}).
 ``solve_constrained(apply, planes, ...)`` solves, for a scalar field eta
 and a scalar beta, the bordered system
 
-    apply(planes, eta) - beta = rhs,        <c, eta> = constraint_rhs,
+    apply(planes, eta) - beta = rhs,        mean(eta) = 0,
 
-with c a positive weight vector; the beta column absorbs the cokernel so
-the system is square and nonsingular. Preconditioned LGMRES with the
+the flat grid mean as border row; the beta column absorbs the cokernel
+so the system is square and nonsingular. Both kernels kill the constants,
+so any row c with <c, 1> != 0 gives the same beta and an eta shifted by a
+constant (Keller's bordering lemma, 1977); a caller that wants another
+normalization shifts eta afterwards. Preconditioned LGMRES with the
 Concus-Golub diagonal scaling (SIAM J. Numer. Anal. 10, 1973). With
 a = (1/n) sum_i P_ii the mean of the diagonal planes, the operator is
 a * sum_k (P_k / a) D_k; the normalized planes are frozen at their
@@ -106,8 +109,6 @@ def solve_constrained(
     apply,
     planes: tuple,
     rhs: np.ndarray,
-    weights: np.ndarray,
-    constraint_rhs: float,
     grid: GridSpec,
     rtol: float = 1e-12,
     maxiter: int = 400,
@@ -123,20 +124,16 @@ def solve_constrained(
     # its mean.
     inv_a = n / sum(planes[:n])
     symbol = frozen_symbol(grid, (p * inv_a for p in planes))
-    # The zero mode is handled explicitly through beta and the constraint row.
+    # The zero mode is handled explicitly through beta and the border row.
     symbol[zero] = 1.0
-    w = weights
-    w_total = float(w.sum())
     right = apply is laplacian_adjoint
     mean_inv_a = float(inv_a.mean())
-    w_inv_a = float((w * inv_a).sum())
 
     def matvec(x):
         eta = x[:npts].reshape(shape)
         beta = x[npts]
         out_field = apply(planes, eta, grid) - beta
-        out_c = float((w * eta).sum())
-        return np.concatenate([out_field.ravel(), [out_c]])
+        return np.concatenate([out_field.ravel(), [float(eta.mean())]])
 
     def solve_frozen(r):
         # Lbar^-1 r for mean-zero r, returned with zero mean.
@@ -148,21 +145,20 @@ def solve_constrained(
         r = x[:npts].reshape(shape)
         s = x[npts]
         if right:
-            # Lbar(a eta) - beta = r
+            # Lbar(a eta) - beta = r, mean(eta) = s
             beta = -float(r.mean())
             u = solve_frozen(r + beta)
-            alpha = (s - float((w * u * inv_a).sum())) / w_inv_a
+            alpha = (s - float((u * inv_a).mean())) / mean_inv_a
             eta = (u + alpha) * inv_a
         else:
-            # a Lbar(eta) - beta = r
+            # a Lbar(eta) - beta = r, mean(eta) = s
             beta = -float((r * inv_a).mean()) / mean_inv_a
-            eta = solve_frozen((r + beta) * inv_a)
-            eta += (s - float((w * eta).sum())) / w_total
+            eta = solve_frozen((r + beta) * inv_a) + s
         return np.concatenate([eta.ravel(), [beta]])
 
     A = spla.LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
     M = spla.LinearOperator((npts + 1, npts + 1), matvec=precond, dtype=np.float64)
-    b = np.concatenate([rhs.ravel(), [constraint_rhs]])
+    b = np.concatenate([rhs.ravel(), [0.0]])
     # Start from the preconditioner's answer, not from zero; through
     # M.matvec, so the call is the same ``precond`` closure.
     x, info = spla.lgmres(A, b, x0=M.matvec(b), M=M, rtol=rtol, atol=0.0, maxiter=maxiter)

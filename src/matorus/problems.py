@@ -36,23 +36,42 @@ def field_from_spec(spec: dict, key: str, where: str, grid: GridSpec):
         raise ConfigError(f"cannot read {where}.{key} {path!r}: {exc}") from exc
 
 
+# The keys each metric kind takes, all of them required.
+_METRIC_KEYS = {
+    "flat": ("kind",),
+    "conformal": ("kind", "h"),
+    "kaehler_perturbation": ("kind", "f"),
+    "explicit": ("kind", "path"),
+}
+
+
+def _reject_unknown_keys(spec: dict, allowed: tuple, where: str) -> None:
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}; one of {allowed}")
+
+
 def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
     """Build a metric from a config spec.
 
     Kinds: {"kind": "flat"}; {"kind": "conformal", "h": expr};
     {"kind": "kaehler_perturbation", "f": expr}; {"kind": "explicit",
-    "path": field-file}.
+    "path": field-file}. Any other key is a ConfigError.
     """
     if spec is None:
         return identity_metric(grid)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("metric spec must be an object with a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _METRIC_KEYS:
+        raise ConfigError(f"unknown metric kind {kind!r}")
+    _reject_unknown_keys(spec, _METRIC_KEYS[kind], f"{kind} metric spec")
+    for key in _METRIC_KEYS[kind]:
+        if key not in spec:
+            raise ConfigError(f"{kind} metric spec needs a {key!r}")
     if kind == "flat":
         return identity_metric(grid)
     if kind == "conformal":
-        if "h" not in spec:
-            raise ConfigError("conformal metric spec needs an 'h' expression")
         h = sample_expression(spec_string(spec, "h", "metric"), grid)
         n = grid.complex_dim
         vals = np.zeros(grid.shape + (n, n), dtype=np.complex128)
@@ -61,35 +80,30 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
             vals[..., range(n), range(n)] = np.exp(h.values)[..., None]
         return HermitianField(grid, vals, metric=True)
     if kind == "kaehler_perturbation":
-        if "f" not in spec:
-            raise ConfigError("kaehler_perturbation metric spec needs an 'f' expression")
         f = sample_expression(spec_string(spec, "f", "metric"), grid)
         return (identity_metric(grid) + ddbar(f)).as_metric()
-    if kind == "explicit":
-        if "path" not in spec:
-            raise ConfigError("explicit metric spec needs a 'path'")
-        fld = field_from_spec(spec, "path", "metric", grid)
-        if not isinstance(fld, HermitianField):
-            raise ConfigError(f"{spec['path']} does not contain a matrix field")
-        return fld.as_metric()
-    raise ConfigError(f"unknown metric kind {kind!r}")
+    # kind == "explicit"
+    fld = field_from_spec(spec, "path", "metric", grid)
+    if not isinstance(fld, HermitianField):
+        raise ConfigError(f"{spec['path']} does not contain a matrix field")
+    return fld.as_metric()
 
 
 def rhs_from_spec(grid: GridSpec, spec) -> ScalarField:
-    """Right-hand side F from {"expression": ...} or {"path": ...}; zero
-    when spec is None."""
+    """Right-hand side F from {"expression": ...} or {"path": ...}, with
+    exactly one of the two keys and no other; zero when spec is None."""
     if spec is None:
         return constant_field(grid, 0.0)
     if not isinstance(spec, dict):
         raise ConfigError("rhs spec must be an object")
+    _reject_unknown_keys(spec, ("expression", "path"), "rhs spec")
+    if len(spec) != 1:
+        raise ConfigError("rhs spec needs exactly one of 'expression' or 'path'")
     if "expression" in spec:
-        fld = sample_expression(spec_string(spec, "expression", "rhs"), grid)
-    elif "path" in spec:
-        fld = field_from_spec(spec, "path", "rhs", grid)
-        if not isinstance(fld, ScalarField) or not fld.is_real:
-            raise ConfigError(f"{spec['path']} does not contain a real scalar field")
-    else:
-        raise ConfigError("rhs spec needs an 'expression' or a 'path'")
+        return sample_expression(spec_string(spec, "expression", "rhs"), grid)
+    fld = field_from_spec(spec, "path", "rhs", grid)
+    if not isinstance(fld, ScalarField) or not fld.is_real:
+        raise ConfigError(f"{spec['path']} does not contain a real scalar field")
     return fld
 
 

@@ -8,14 +8,14 @@ The equation solved for a pair (phi, b), b a scalar coupled to phi, is
 
 with Hess the complex Hessian. Newton's method linearizes the left side
 to the canonical Laplacian of the current solution metric; each step
-solves the bordered system [laplacian, -1; constraint-row, 0] where the
-constraint pins the conformal-weight-weighted mean of phi to zero, by
-``linsolve.solve_constrained`` with the ``laplacian`` kernel and the
-planes of the inverse solution metric. On output phi is re-normalized
-to sup phi = 0 (the equation is invariant under constant shifts of phi,
-so b is unchanged by the shift). A warm start is shifted the other way
-on input, to zero weighted mean, so that the first correction is not
-spent on the constant gauge shift of a sup-normalized iterate.
+solves the bordered system [laplacian, -1; mean, 0] for a correction of
+zero grid mean and the change of b, by ``linsolve.solve_constrained``
+with the ``laplacian`` kernel and the planes of the inverse solution
+metric. The equation is invariant under constant shifts of phi, so no
+correction is spent on the constant of the start; on output phi is
+re-normalized to sup phi = 0, which leaves b unchanged. That is the only
+normalization: the Gauduchon metric enters the estimates, not the gauge
+of the Newton step.
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
 warm-starting each Newton solve from the previous step. The first step is
@@ -34,10 +34,9 @@ nested iteration, the "full multigrid" start (Brandt, Math. Comp. 31,
 1977): it runs the continuation on the coarse grid N_c = max(8,
 2*(N//4)), prolongs phi to N by trigonometric interpolation
 (``grid.resample``) and finishes with Newton at t = 1 on N from (phi, b)
-of the coarse grid, with the fine constraint weights. The coarse problem
-is g and F resampled to N_c, with its own conformal weight, and is solved
-by ``nested_solve`` again, so N = 24 runs 24 -> 12 -> 8. On N = 8,
-where N_c = N, it is ``continuity_solve``. The solution is smooth,
+of the coarse grid. The coarse problem is g and F resampled to N_c, and
+is solved by ``nested_solve`` again, so N = 24 runs 24 -> 12 -> 8. On
+N = 8, where N_c = N, it is ``continuity_solve``. The solution is smooth,
 so the coarse b is already close and the finish takes a couple of Newton
 iterations; the coarse result is kept in ``SolveResult.coarse``, and
 |b - coarse b| estimates the discretization error.
@@ -45,10 +44,9 @@ iterations; the coarse result is kept in ``SolveResult.coarse``, and
 Both warm-started drivers, ``nested_solve`` from the coarse grid and
 ``estimates.sweep`` from the nearest solved scale, end in one shared
 finish, ``newton_finish``: Newton at t = 1 from the given start, and if
-the start or Newton fails (a stalled continuation, Newton, positivity,
-Krylov or conformal-weight failure), ``continuity_solve`` on the same
-grid with the failure recorded first in ``rejected`` as (1.0, error
-code).
+the start or Newton fails (a stalled continuation, Newton, positivity or
+Krylov failure), ``continuity_solve`` on the same grid with the failure
+recorded first in ``rejected`` as (1.0, error code).
 
 Each Newton correction is an inexact solve: LGMRES runs to the relative
 tolerance max(linear_tol, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
@@ -75,13 +73,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     ContinuationStalled,
-    GauduchonKernelError,
     LinearSolverStalled,
     MaxItersExceeded,
     NotPositiveError,
     PositivityLost,
 )
-from .geometry import canonical_laplacian, gauduchon_weight
+from .geometry import canonical_laplacian
 from .grid import (
     GridSpec,
     HermitianField,
@@ -165,33 +162,22 @@ def linearized_apply(gprime: HermitianField, eta: ScalarField) -> ScalarField:
     return canonical_laplacian(gprime, eta)
 
 
-def _constraint_weights(g: HermitianField, vweight: ScalarField | None = None) -> np.ndarray:
-    """Normalized v det g, the weights of the Newton constraint row; solves
-    for the conformal weight v of g when it is not given."""
-    if vweight is None:
-        _, vweight = gauduchon_weight(g)
-    w = vweight.values * det(g)
-    return w / w.sum()
-
-
 def newton_solve(
     g: HermitianField,
     F_target: ScalarField,
     config: SolverConfig | None = None,
     initial: tuple | None = None,
-    constraint_weights: np.ndarray | None = None,
     t_label: float = 1.0,
 ) -> SolveResult:
     """Newton iteration for (phi, b) at a fixed right-hand side.
 
-    The linear constraint pins the weighted mean of phi; the returned phi
-    is shifted to sup phi = 0, which leaves the equation and b unchanged.
+    Each correction has zero grid mean; the returned phi is shifted to
+    sup phi = 0, which leaves the equation and b unchanged.
     """
     config = config or SolverConfig()
     grid = g.grid
     n = grid.complex_dim
     g = g.as_metric()
-    w = _constraint_weights(g) if constraint_weights is None else constraint_weights
 
     if initial is None:
         phi = np.zeros(grid.shape)
@@ -199,9 +185,6 @@ def newton_solve(
     else:
         phi0, b = initial
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
-        # Start in the gauge of the constraint row, so the first correction
-        # is not spent on a constant shift.
-        phi -= float((w * phi).sum() / w.sum())
 
     logdet_g = np.log(det(g))
     gp = g.values + complex_hessian(phi, grid)
@@ -233,8 +216,6 @@ def newton_solve(
             laplacian,
             laplacian_planes(_inverse(gp)),
             rhs=-residual,
-            weights=w,
-            constraint_rhs=-float((w * phi).sum()),
             grid=grid,
             rtol=max(
                 config.linear_tol, min(0.1, res_norm**2), 0.1 * config.newton_tol / res_norm
@@ -270,19 +251,12 @@ def continuity_solve(
     F: ScalarField,
     config: SolverConfig | None = None,
     initial: tuple | None = None,
-    constraint_weights: np.ndarray | None = None,
 ) -> SolveResult:
     """March the family log det(g + Hess phi_t) - log det g = t F + b_t
-    from t = 0 to t = 1 with adaptive steps and warm starts.
-
-    ``constraint_weights`` (see ``_constraint_weights``) lets a caller that
-    solves several right-hand sides on one metric solve its conformal
-    weight once.
-    """
+    from t = 0 to t = 1 with adaptive steps and warm starts."""
     config = config or SolverConfig()
     grid = g.grid
     g = g.as_metric()
-    w = _constraint_weights(g) if constraint_weights is None else constraint_weights
 
     if initial is None:
         phi, b = np.zeros(grid.shape), 0.0
@@ -303,12 +277,7 @@ def continuity_solve(
         t_next = 1.0 if t + step >= 1.0 - 1e-12 else t + step
         target = ScalarField(grid, t_next * F.values)
         try:
-            last = newton_solve(
-                g, target, config,
-                initial=(phi, b),
-                constraint_weights=w,
-                t_label=t_next,
-            )
+            last = newton_solve(g, target, config, initial=(phi, b), t_label=t_next)
         except (MaxItersExceeded, PositivityLost, LinearSolverStalled, NotPositiveError) as exc:
             rejected.append((t_next, exc.code))
             step *= 0.5
@@ -336,7 +305,6 @@ def continuity_solve(
 # Failures of a solve that the continuation may still get past.
 _RECOVERABLE = (
     ContinuationStalled,
-    GauduchonKernelError,
     LinearSolverStalled,
     MaxItersExceeded,
     NotPositiveError,
@@ -344,13 +312,7 @@ _RECOVERABLE = (
 )
 
 
-def newton_finish(
-    g: HermitianField,
-    F: ScalarField,
-    config: SolverConfig,
-    start,
-    constraint_weights: np.ndarray,
-) -> SolveResult:
+def newton_finish(g: HermitianField, F: ScalarField, config: SolverConfig, start) -> SolveResult:
     """Newton at t = 1 on F from ``start()``, a (phi, b) pair on g's grid;
     if ``start()`` or Newton fails recoverably, ``continuity_solve`` on
     g's grid instead, with the failure recorded first in ``rejected`` as
@@ -359,11 +321,11 @@ def newton_finish(
     A finish that converged has an empty ``rejected``, a fallback never.
     """
     try:
-        return newton_solve(g, F, config, initial=start(), constraint_weights=constraint_weights)
+        return newton_solve(g, F, config, initial=start())
     except _RECOVERABLE as exc:
         failed = (1.0, exc.code)
     try:
-        result = continuity_solve(g, F, config, constraint_weights=constraint_weights)
+        result = continuity_solve(g, F, config)
     except ContinuationStalled as stalled:
         stalled.rejected.insert(0, failed)
         raise
@@ -402,5 +364,5 @@ def nested_solve(
         )
         return resample(coarse.phi.values, grid), coarse.b
 
-    fine = newton_finish(g, F, config, prolonged_coarse_solution, _constraint_weights(g))
+    fine = newton_finish(g, F, config, prolonged_coarse_solution)
     return fine if fine.rejected else replace(fine, coarse=coarse)

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -32,9 +33,10 @@ def conformal_metric(grid: GridSpec, h: ScalarField) -> HermitianField:
 
 
 def count_weight_solves(monkeypatch) -> list:
-    """Patch the conformal-weight solve under both names it is called by
-    (``geometry`` and ``solver``); the returned list grows by one per call."""
-    from matorus import geometry, solver
+    """Patch the conformal-weight solve under every name a loaded
+    ``matorus`` module holds it by; the returned list grows by one per
+    call."""
+    from matorus import geometry
 
     calls = []
     original = geometry.gauduchon_weight
@@ -43,8 +45,12 @@ def count_weight_solves(monkeypatch) -> list:
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "gauduchon_weight", counted)
-    monkeypatch.setattr(solver, "gauduchon_weight", counted)
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "matorus" or name.startswith("matorus.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
     return calls
 
 

@@ -363,6 +363,53 @@ def test_unknown_grid_key_is_a_config_error(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("key", ["sovler", "scale", "metrics"])
+def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
+    cfg = write_config(
+        tmp_path,
+        "typo.json",
+        {
+            "grid": BASE_GRID,
+            "metric": {"kind": "flat"},
+            "rhs": {"expression": "0.4*cos(2*pi*x1)"},
+            key: {"newton_tol": 1e-3},
+        },
+    )
+    assert run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
+    assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "task, patch, named",
+    [
+        ("solve", {"metric": {"kind": "flat", "h": "0"}}, "'h'"),
+        ("gauduchon", {"metric": {"kind": "conformal", "h": "0.2*cos(2*pi*x2)", "hh": "x"}}, "'hh'"),
+        (
+            "gauduchon",
+            {"metric": {"kind": "kaehler_perturbation", "f": "0.01*cos(2*pi*x1)", "h": "0"}},
+            "'h'",
+        ),
+        ("gauduchon", {"metric": {"kind": "explicit", "path": "g.field", "f": "0"}}, "'f'"),
+        ("solve", {"rhs": {"expression": "0.4*cos(2*pi*x1)", "expresion": "0"}}, "'expresion'"),
+        ("solve", {"rhs": {"expression": "0.4*cos(2*pi*x1)", "path": "g.field"}}, "exactly one"),
+    ],
+    ids=["flat", "conformal", "kaehler_perturbation", "explicit", "rhs-typo", "rhs-both"],
+)
+def test_unknown_spec_key_is_a_config_error(tmp_path, capsys, monkeypatch, task, patch, named):
+    monkeypatch.chdir(tmp_path)
+    grid = GridSpec(**BASE_GRID)
+    serialize(metric_from_spec(grid, {"kind": "flat"}), tmp_path / "g.field")
+    cfg = write_config(tmp_path, "typo.json", {"grid": BASE_GRID, **patch})
+    assert run_cli([task, "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "config_error", err
+    assert named in err["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_gauduchon_output_defect_is_the_weight_residual_of_one(tmp_path, count_transforms):
     assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
     # Only the input metric is differentiated: one antisymmetric_pairs pass,

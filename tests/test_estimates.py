@@ -22,7 +22,7 @@ from matorus.grid import (
     identity_metric,
 )
 from matorus.problems import random_trig_field
-from matorus.solver import SolverConfig, _constraint_weights, continuity_solve
+from matorus.solver import SolverConfig, continuity_solve
 
 from conftest import conformal_metric, count_weight_solves
 
@@ -44,10 +44,8 @@ def _criterion_8_problem():
 
 
 def _cold(g, F, s, config=None):
-    """The continuation from t = 0 at s * F, with the sweep's weights."""
-    return continuity_solve(
-        g, ScalarField(F.grid, s * F.values), config, constraint_weights=_constraint_weights(g)
-    )
+    """The continuation from t = 0 at s * F."""
+    return continuity_solve(g, ScalarField(F.grid, s * F.values), config)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +141,8 @@ class TestSweep:
         calls = count_weight_solves(monkeypatch)
         entries = sweep(g, F, [0.5, 1.0, 1.5])
         assert all(e.error is None for e in entries)
-        assert len(calls) == 1
+        # The Newton border row is the flat grid mean: no weight of g is needed.
+        assert len(calls) == 0
 
     def test_error_propagates_per_entry(self, grid8, rng):
         g = identity_metric(grid8)
@@ -198,13 +197,11 @@ class TestChainedSweep:
 
     def test_fewer_operator_applications_than_per_scale_continuations(self, count_matvecs):
         g, F = _criterion_8_problem()
-        w = _constraint_weights(g)
         count_matvecs.clear()
         for s in CRITERION_8_SCALES:
-            continuity_solve(g, ScalarField(F.grid, s * F.values), constraint_weights=w)
+            continuity_solve(g, ScalarField(F.grid, s * F.values))
         cold = len(count_matvecs)
         count_matvecs.clear()
-        # The sweep's count includes its one conformal-weight solve.
         entries = sweep(g, F, CRITERION_8_SCALES)
         assert all(e.error is None for e in entries)
         assert len(count_matvecs) < cold

@@ -10,6 +10,8 @@ from matorus.grid import GridSpec, identity_metric, resample
 from matorus.problems import metric_from_spec, random_metric, random_trig_field
 from matorus.solver import SolverConfig, continuity_solve, ma_log_residual, nested_solve
 
+from conftest import count_weight_solves
+
 RHS = "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)"
 
 
@@ -88,8 +90,8 @@ def test_nested_solve_matches_the_fine_continuation(N):
 
 def test_nested_solve_newton_budget(monkeypatch):
     # Every bordered Krylov solve counts: one per Newton iteration, failed
-    # attempts included, plus one conformal-weight solve per grid. The
-    # coarse stage is one Newton solve at t = 1, not a march from t = 0.
+    # attempts included. The coarse stage is one Newton solve at t = 1,
+    # not a march from t = 0.
     calls = []
     original = solver.solve_constrained
 
@@ -103,6 +105,26 @@ def test_nested_solve_newton_budget(monkeypatch):
     res = nested_solve(g, F)
     assert res.rejected == [] and res.coarse.rejected == []
     assert len(calls) <= 10
+
+
+def test_nested_solve_makes_no_conformal_weight_solve(monkeypatch):
+    calls = count_weight_solves(monkeypatch)
+    g, F = _problem(12)
+    res = nested_solve(g, F)
+    assert res.rejected == [] and res.coarse is not None
+    assert len(calls) == 0
+
+
+def test_nested_solve_krylov_budget_on_a_non_conformal_metric(count_matvecs):
+    # The frozen-coefficient preconditioner is inexact here, so every
+    # Newton step takes several operator applications.
+    grid = GridSpec(2, 12)
+    rng = np.random.default_rng(0)
+    g = random_metric(grid, rng, amplitude=0.6)
+    F = random_trig_field(grid, rng, amplitude=1.0, bandwidth=1)
+    res = nested_solve(g, F)
+    assert res.rejected == [] and res.coarse is not None
+    assert len(count_matvecs) <= 90
 
 
 def test_nested_solve_recurses_down_to_eight_points():

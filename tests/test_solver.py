@@ -8,7 +8,6 @@ from matorus.errors import (
     NotPositiveError,
 )
 from matorus.expressions import sample_expression
-from matorus.geometry import gauduchon_weight
 from matorus.grid import (
     GridSpec,
     HermitianField,
@@ -217,9 +216,9 @@ class TestNewton:
         assert abs(res.b - ref.b) <= 1e-12
 
     def test_warm_start_is_gauge_centred(self, grid8):
-        # the converged phi is sup-normalized, far from the constraint's
-        # zero weighted mean; shifting it there on input leaves the first
-        # correction to the bump alone, which one Newton step removes
+        # the converged phi is sup-normalized, far from zero mean; the
+        # mean-zero corrections leave its constant alone, so the first
+        # correction goes to the bump alone, which one Newton step removes
         g = conformal_metric(grid8, sample(grid8, lambda c: 0.2 * np.cos(2 * np.pi * c["x2"])))
         F = sample(
             grid8, lambda c: 0.4 * np.cos(2 * np.pi * c["x1"]) + 0.3 * np.sin(2 * np.pi * c["y2"])
@@ -231,24 +230,22 @@ class TestNewton:
         assert res.newton_iters == 1
         assert abs(res.b - ref.b) <= 1e-12
 
-    def test_constraint_gauge_does_not_change_solution(self, grid8, rng):
-        # the weighted-mean constraint only fixes the additive gauge of
-        # phi during the iteration; different positive weights give the
-        # same sup-normalized solution
+    def test_start_gauge_does_not_change_solution(self, grid8, rng):
+        # Newton's corrections have zero grid mean, so a constant shift of
+        # the start stays in every iterate and goes with sup phi = 0
         c = grid8.coordinates()
         h = ScalarField(
             grid8, 0.2 * np.cos(2 * np.pi * np.broadcast_to(c["x2"], grid8.shape))
         )
         g = conformal_metric(grid8, h)
         F = random_trig_field(grid8, rng, amplitude=0.4, bandwidth=1)
-        _, v = gauduchon_weight(g)
-        w_background = v.values * det(g)
-        w_background /= w_background.sum()
-        w_flat = np.full(grid8.shape, 1.0 / grid8.npoints)
-        r1 = newton_solve(g, F, constraint_weights=w_background)
-        r2 = newton_solve(g, F, constraint_weights=w_flat)
-        assert np.max(np.abs(r1.phi.values - r2.phi.values)) <= 1e-9
-        assert abs(r1.b - r2.b) <= 1e-9
+        phi0 = 0.02 * sample(grid8, lambda c: np.cos(2 * np.pi * c["y1"])).values
+        b0 = 0.1
+        r1 = newton_solve(g, F, initial=(phi0, b0))
+        r2 = newton_solve(g, F, initial=(phi0 + 0.3, b0))
+        assert r1.newton_iters >= 2
+        assert np.max(np.abs(r1.phi.values - r2.phi.values)) <= 1e-12
+        assert abs(r1.b - r2.b) <= 1e-12
 
     def test_max_iters_exceeded(self, grid8, rng):
         g = identity_metric(grid8)
