@@ -95,7 +95,7 @@ def _poisson_solve_gauduchon(
     config: SolverConfig,
 ) -> np.ndarray:
     """Solve laplacian_G f = rhs in the mean-zero gauge of g_G's measure."""
-    f, _ = solve_constrained(
+    f, _, _ = solve_constrained(
         laplacian,
         laplacian_planes(inverse(g_g)),
         rhs=rhs,

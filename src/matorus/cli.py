@@ -33,7 +33,7 @@ from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
 from .fieldio import _write_atomic, serialize
-from .geometry import defects, gauduchon_residual, gauduchon_weight, ricci_form, weight_planes
+from .geometry import _weight_image, defects, ricci_form, weight_planes
 from .grid import (
     GridSpec,
     HermitianField,
@@ -43,6 +43,7 @@ from .grid import (
 )
 from .jets import run_identity_fuzz
 from .linsolve import laplacian_adjoint
+from .problems import _reject_unknown_keys
 from .problems import field_from_spec, metric_from_spec, rhs_from_spec, spec_string
 from .solver import SolveResult, SolverConfig, nested_solve
 
@@ -53,6 +54,7 @@ TASKS = ("solve", "sweep", "gauduchon", "verify-identities", "prescribe-ricci", 
 # Top-level config keys: the common ones, then every task's own (``extras``).
 _COMMON_KEYS = ("task", "grid", "metric", "rhs", "solver", "seed", "output_dir")
 _EXTRA_KEYS = ("scales", "psi", "phi", "b")
+_PSI_KEYS = ("h_expression", "h_path", "path")
 
 
 @dataclass(frozen=True)
@@ -237,18 +239,17 @@ def _task_gauduchon(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     # The weight operator M of g is built once. Its image M(1) is both the
     # weight solve's right-hand side and the input Gauduchon defect, and
-    # M(e^{(n-1)u}) = M_{e^u g}(1) gives the defect of the output metric.
+    # its image M(v) of v = e^{(n-1)u} = M_{e^u g}(1) gives both the weight
+    # residual and the defect of the output metric.
     planes = weight_planes(g)
     m_one = laplacian_adjoint(planes, np.ones(cfg.grid.shape), cfg.grid)
-    u, v = gauduchon_weight(g, planes=planes, m_one=m_one)
+    u, v, m_v = _weight_image(g, planes, m_one)
     gauduchon_defect = float(np.max(np.abs(m_one)))
+    output_defect = float(np.max(np.abs(m_v)))
+    residual = output_defect / float(np.max(np.abs(v.values)))
     # Whatever defects(g) does not need is released before it runs, so its
     # own peak sets the task's.
-    del m_one
-    weight = np.exp((cfg.grid.complex_dim - 1) * u.values)
-    output_defect = float(np.max(np.abs(laplacian_adjoint(planes, weight, cfg.grid))))
-    residual = gauduchon_residual(g, v, planes)
-    del planes, weight
+    del m_one, m_v, planes
     serialize(u, os.path.join(out, "u.field"))
     serialize(v, os.path.join(out, "v.field"))
     d = defects(g, gauduchon_defect)
@@ -283,6 +284,8 @@ def _task_prescribe(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     psi_spec = cfg.extras.get("psi")
     _require(isinstance(psi_spec, dict), "prescribe-ricci task needs a 'psi' object")
+    _reject_unknown_keys(psi_spec, _PSI_KEYS, "psi spec")
+    _require(len(psi_spec) == 1, f"'psi' needs exactly one of {_PSI_KEYS}")
     h = None
     if "h_expression" in psi_spec:
         h = sample_expression(spec_string(psi_spec, "h_expression", "psi"), cfg.grid)
@@ -298,12 +301,10 @@ def _task_prescribe(cfg: RunConfig, out: str) -> dict:
         psi = HermitianField(
             cfg.grid, ric.values - complex_hessian(h.values, cfg.grid) / (2.0 * np.pi)
         )
-    elif "path" in psi_spec:
+    else:
         fld = field_from_spec(psi_spec, "path", "psi", cfg.grid)
         _require(isinstance(fld, HermitianField), "'psi.path' must hold a matrix field")
         psi = fld
-    else:
-        raise ConfigError("'psi' needs an 'h_expression', an 'h_path', or a 'path'")
     res = prescribe_ricci(g, psi, cfg.solver)
     serialize(res.f, os.path.join(out, "f.field"))
     serialize(res.solve.phi, os.path.join(out, "phi.field"))
@@ -325,6 +326,7 @@ def _task_report(cfg: RunConfig, out: str) -> dict:
         isinstance(phi_spec, dict) and "path" in phi_spec,
         "report task needs a 'phi' object with a 'path'",
     )
+    _reject_unknown_keys(phi_spec, ("path",), "phi spec")
     b = cfg.extras.get("b", 0.0)
     _require(_is_finite_number(b), "report task field 'b' must be a finite number")
     g = metric_from_spec(cfg.grid, cfg.metric_spec)

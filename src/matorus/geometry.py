@@ -19,9 +19,11 @@ cofactor of g, adj(g)[m, p]. The operator M is the adjoint Laplacian
 (``weight_planes``), built once per ``gauduchon_weight`` or
 ``gauduchon_residual`` call unless the caller passes them in, as the
 ``gauduchon`` task does for g. C(e^u g) = e^{(n-1)u} C(g) exactly, so
-M_{e^u g}(f) = M(e^{(n-1)u} f): the task takes the Gauduchon defect of
-e^u g as sup |M(e^{(n-1)u})|. The kernel is obtained by one deflated
-Krylov solve in the mean-zero complement (``linsolve.solve_constrained``).
+M_{e^u g}(f) = M(e^{(n-1)u} f). The weight is returned as v = e^{(n-1)u},
+so its one image M(v) gives the solve's contract check, the task's
+weight residual and the Gauduchon defect sup |M(v)| of e^u g. The kernel
+is obtained by one deflated Krylov solve in the mean-zero complement
+(``linsolve.solve_constrained``).
 
 The first derivatives of the metric enter only antisymmetrized,
 d_i g_{jl-bar} - d_j g_{il-bar} (the coefficients of d omega), and one
@@ -211,9 +213,10 @@ def gauduchon_weight(
 
     v is normalized so the conformal metric has unit volume,
     ``integrate(v, g) == 1``, and u = log(v) / (n-1) so that e^u omega is
-    the distinguished representative. Raises GauduchonKernelError when the
-    computed kernel vector is not strictly positive (a sign the grid is
-    too coarse: the continuum kernel contains a positive element).
+    the distinguished representative; v is returned as e^{(n-1)u}. Raises
+    GauduchonKernelError when the computed kernel vector is not strictly
+    positive (a sign the grid is too coarse: the continuum kernel contains
+    a positive element).
 
     The discretized operator M (``laplacian_adjoint``) annihilates the
     flat grid mean exactly, so it has an exact one-dimensional kernel with
@@ -226,6 +229,14 @@ def gauduchon_weight(
     ``planes`` (``weight_planes(g)``) and ``m_one``, their image M(1) of
     the constant 1, are built here unless the caller has them already.
     """
+    u, v, _ = _weight_image(g, planes, m_one)
+    return u, v
+
+
+def _weight_image(g: HermitianField, planes: tuple | None, m_one: np.ndarray | None) -> tuple:
+    """(u, v, M(v)) for ``gauduchon_weight``: v is e^{(n-1)u} itself, and
+    its image M(v), the one application of M after the solve, is both the
+    solve's contract check and the caller's weight residual."""
     g = g.as_metric()
     grid = g.grid
     shape = grid.shape
@@ -234,40 +245,40 @@ def gauduchon_weight(
     if m_one is None:
         m_one = laplacian_adjoint(planes, np.ones(shape), grid)
 
-    rhs = -m_one
-    if float(np.max(np.abs(rhs))) <= 1e-14:
-        return _finish_weight(g, np.ones(shape))
-
-    xi, _ = solve_constrained(
-        laplacian_adjoint,
-        planes,
-        rhs=rhs,
-        grid=grid,
-        rtol=_WEIGHT_RTOL,
-        maxiter=_WEIGHT_MAXITER,
-    )
-    v = 1.0 + xi
-    resid = float(np.max(np.abs(laplacian_adjoint(planes, v, grid))) / np.max(np.abs(v)))
+    v = np.ones(shape)
+    if float(np.max(np.abs(m_one))) > 1e-14:
+        xi, _, _ = solve_constrained(
+            laplacian_adjoint,
+            planes,
+            rhs=-m_one,
+            grid=grid,
+            rtol=_WEIGHT_RTOL,
+            maxiter=_WEIGHT_MAXITER,
+        )
+        v = v + xi
+    u, v = _finish_weight(g, v)
+    m_v = laplacian_adjoint(planes, v.values, grid)
+    resid = float(np.max(np.abs(m_v)) / np.max(np.abs(v.values)))
     if resid > _WEIGHT_CONTRACT_TOL:
         raise LinearSolverStalled(
             f"conformal-weight solve stalled at relative residual {resid:.3e}"
         )
-    return _finish_weight(g, v)
+    return u, v, m_v
 
 
 def _finish_weight(g: HermitianField, v: np.ndarray) -> tuple:
-    n = g.grid.complex_dim
+    """(u, e^{(n-1)u}) for the kernel vector v, after its positivity
+    check and the unit-volume normalization."""
     vmin = float(v.min())
     if vmin <= 0.0:
         raise GauduchonKernelError(
             f"conformal-weight kernel vector has minimum {vmin:.3e} <= 0; "
             "refine the grid"
         )
-    vfield = ScalarField(g.grid, v)
-    v = v / integrate(vfield, g)
-    vfield = ScalarField(g.grid, v)
-    u = ScalarField(g.grid, np.log(v) / (n - 1))
-    return u, vfield
+    n = g.grid.complex_dim
+    v = v / integrate(ScalarField(g.grid, v), g)
+    u = np.log(v) / (n - 1)
+    return ScalarField(g.grid, u), ScalarField(g.grid, np.exp((n - 1) * u))
 
 
 def gauduchon_metric(

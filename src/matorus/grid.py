@@ -456,16 +456,29 @@ def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     if np.iscomplexobj(values):
         return complex_hessian(values.real, grid) + 1j * complex_hessian(values.imag, grid)
+    return _hessian_matrix(_hessian_planes(_rfftn(values), grid), grid)
+
+
+def _hessian_planes(spec: np.ndarray, grid: GridSpec):
+    """irfftn(S_k * spec) for each plane S_k of ``real_hessian_symbols``,
+    one at a time: the real planes of the complex Hessian of the real
+    field whose half spectrum is ``spec``."""
+    return (_irfftn(symbol * spec, grid.shape) for symbol in real_hessian_symbols(grid))
+
+
+def _hessian_matrix(planes, grid: GridSpec) -> np.ndarray:
+    """The exactly Hermitian matrix field d_i d_jbar f, shape grid.shape +
+    (n, n), from the real planes of f in the order of
+    ``real_hessian_symbols``; ``planes`` is iterated once."""
     n, shape = grid.complex_dim, grid.shape
     out = np.empty(shape + (n, n), dtype=np.complex128)
-    spec = _rfftn(values)
-    symbols = iter(real_hessian_symbols(grid))
+    planes = iter(planes)
     for i in range(n):
-        out[..., i, i] = _irfftn(next(symbols) * spec, shape)
+        out[..., i, i] = next(planes)
     for i in range(n):
         for j in range(i + 1, n):
-            re = _irfftn(next(symbols) * spec, shape)
-            im = _irfftn(next(symbols) * spec, shape)
+            re = next(planes)
+            im = next(planes)
             out[..., i, j].real = re
             out[..., i, j].imag = im
             out[..., j, i].real = re

@@ -17,13 +17,13 @@ fields of a metric the second is the coefficient of d dbar (v omega^{n-1}).
 ``solve_constrained(apply, planes, ...)`` solves, for a scalar field eta
 and a scalar beta, the bordered system
 
-    apply(planes, eta) - beta = rhs,        mean(eta) = 0,
+    K(eta, beta) = (apply(planes, eta) - beta, mean(eta)) = (rhs, 0),
 
 the flat grid mean as border row; the beta column absorbs the cokernel
 so the system is square and nonsingular. Both kernels kill the constants,
 so any row c with <c, 1> != 0 gives the same beta and an eta shifted by a
 constant (Keller's bordering lemma, 1977); a caller that wants another
-normalization shifts eta afterwards. Preconditioned LGMRES with the
+normalization shifts eta afterwards. The preconditioner M uses the
 Concus-Golub diagonal scaling (SIAM J. Numer. Anal. 10, 1973). With
 a = (1/n) sum_i P_ii the mean of the diagonal planes, the operator is
 a * sum_k (P_k / a) D_k; the normalized planes are frozen at their
@@ -32,19 +32,35 @@ means, which gives the scaled symbol Lbar = sum_k mean(P_k / a) S_k
 side where the kernel has it:
 
     laplacian          L  ~ a * Lbar,    M^-1 r = Lbar^-1(r / a),
-    laplacian_adjoint  L* ~ Lbar(a .),   M^-1 r = Lbar^-1(r) / a,
+    laplacian_adjoint  L* ~ Lbar(a .),   M^-1 r = Lbar^-1(r) / a.
 
-and any other kernel is scaled on the left. Each M is inverted exactly
-in the bordered system: beta takes the zero mode of Lbar and the border
-row is met exactly. For a conformal metric e^h I the planes of G^-1 are
-e^-h I and the conformal-weight fields are (n-1)! e^((n-1)h) I, so both
-normalized operators have constant coefficients at phi = 0. The
-preconditioner is then the exact inverse.
+Each M is inverted exactly in the bordered system: beta takes the zero
+mode of Lbar and the border row is met exactly.
 
-Each solve starts at x0 = M^-1 b, the preconditioner's answer, not at
-zero, so LGMRES's first operator application computes the residual of
-that start instead of A 0. In the conformal case the start is the
-solution, and that one application confirms it at every n.
+The solve is right-preconditioned (Saad, Iterative Methods for Sparse
+Linear Systems, 2nd ed., SIAM 2003, sec. 9.3) and has no border row:
+LGMRES works on R^npts with the one operator
+
+    r -> apply(planes, eta(r)) - beta(r),   (eta, beta)(r) = M^-1 (r, 0).
+
+With s = 0 in the border slot, M^-1 meets mean(eta) = 0 exactly, so the
+border row of K M^-1 is the identity on s; the border equation s = 0
+drops out and the system left is square and nonsingular. For the
+``laplacian`` kernel eta never leaves the spectrum: M^-1 ends with its
+half spectrum, and the Laplacian reads the Hessian planes of eta off it,
+so one application costs one forward and n^2 inverse real transforms.
+The planes of the last application come back with the answer when
+LGMRES returns the point it last applied the operator to, so the Newton
+step does not differentiate its correction again. ``laplacian_adjoint``
+(and any other kernel, scaled on the right) works on eta in field form.
+
+Each solve starts at r0 = rhs, that is at eta0 = M^-1 (rhs, 0), the
+preconditioner's answer, so LGMRES's first operator application computes
+the residual of that start. For a conformal metric e^h I the planes of
+G^-1 are e^-h I and the conformal-weight fields are (n-1)! e^((n-1)h) I,
+so both normalized operators have constant coefficients at phi = 0: M is
+the exact inverse, the start is the solution, and that one application
+confirms it at every n.
 
 The callers are the Newton step (``solver.newton_solve``), the Poisson
 solve in the distinguished metric (``chern._poisson_solve_gauduchon``)
@@ -59,6 +75,7 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolverStalled
 from .grid import (
     GridSpec,
+    _hessian_planes,
     _irfftn,
     _rfftn,
     coefficient_planes,
@@ -79,10 +96,14 @@ def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     inverse ones; complex input is split into its real and imaginary parts."""
     if np.iscomplexobj(values):
         return laplacian(planes, values.real, grid) + 1j * laplacian(planes, values.imag, grid)
-    spec = _rfftn(values)
+    return _contract(planes, _hessian_planes(_rfftn(values), grid), grid)
+
+
+def _contract(planes: tuple, hessian, grid: GridSpec) -> np.ndarray:
+    """sum_k planes[k] * hessian[k] for the Hessian planes of a field."""
     out = np.zeros(grid.shape)
-    for coeff, symbol in zip(planes, real_hessian_symbols(grid)):
-        out += coeff * _irfftn(symbol * spec, grid.shape)
+    for coeff, plane in zip(planes, hessian):
+        out += coeff * plane
     return out
 
 
@@ -113,9 +134,12 @@ def solve_constrained(
     rtol: float = 1e-12,
     maxiter: int = 400,
 ) -> tuple:
-    """Returns (eta, beta) for the bordered system described above; ``apply``
-    is ``laplacian`` or ``laplacian_adjoint``, called as (planes, values, grid),
-    and sets the side of the preconditioner's scaling."""
+    """Returns (eta, beta, hessian) for the bordered system described
+    above, with mean(eta) = 0. ``apply`` is ``laplacian`` or
+    ``laplacian_adjoint``, called as (planes, values, grid), and sets the
+    side of the preconditioner's scaling. ``hessian`` is the tuple of the
+    n^2 real Hessian planes of eta (``grid.real_hessian_symbols``) for the
+    ``laplacian`` kernel and None for the other."""
     shape = grid.shape
     npts = grid.npoints
     zero = (0,) * len(shape)
@@ -126,42 +150,45 @@ def solve_constrained(
     symbol = frozen_symbol(grid, (p * inv_a for p in planes))
     # The zero mode is handled explicitly through beta and the border row.
     symbol[zero] = 1.0
-    right = apply is laplacian_adjoint
     mean_inv_a = float(inv_a.mean())
 
-    def matvec(x):
-        eta = x[:npts].reshape(shape)
-        beta = x[npts]
-        out_field = apply(planes, eta, grid) - beta
-        return np.concatenate([out_field.ravel(), [float(eta.mean())]])
-
     def solve_frozen(r):
-        # Lbar^-1 r for mean-zero r, returned with zero mean.
+        # Half spectrum of Lbar^-1 r for mean-zero r, zero mode dropped.
         spec = _rfftn(r) / symbol
         spec[zero] = 0.0
-        return _irfftn(spec, shape)
+        return spec
 
-    def precond(x):
-        r = x[:npts].reshape(shape)
-        s = x[npts]
-        if right:
-            # Lbar(a eta) - beta = r, mean(eta) = s
-            beta = -float(r.mean())
-            u = solve_frozen(r + beta)
-            alpha = (s - float((u * inv_a).mean())) / mean_inv_a
-            eta = (u + alpha) * inv_a
-        else:
-            # a Lbar(eta) - beta = r, mean(eta) = s
+    fused = apply is laplacian
+    last = {}
+
+    def matvec(x):
+        # K M^-1 (r, 0) with (eta, beta) = M^-1 (r, 0), mean(eta) = 0.
+        # The last application's planes go first: one set is alive at a time.
+        last.clear()
+        r = x.reshape(shape)
+        if fused:
+            # a Lbar(eta) - beta = r, eta kept as its half spectrum, whose
+            # Hessian planes the Laplacian reads.
             beta = -float((r * inv_a).mean()) / mean_inv_a
-            eta = solve_frozen((r + beta) * inv_a) + s
-        return np.concatenate([eta.ravel(), [beta]])
+            eta = solve_frozen((r + beta) * inv_a)
+            hessian = tuple(_hessian_planes(eta, grid))
+            image = _contract(planes, hessian, grid)
+        else:
+            # Lbar(a eta) - beta = r
+            beta = -float(r.mean())
+            u = _irfftn(solve_frozen(r + beta), shape)
+            eta = (u - float((u * inv_a).mean()) / mean_inv_a) * inv_a
+            hessian, image = None, apply(planes, eta, grid)
+        last.update(r=r.copy(), eta=eta, beta=beta, hessian=hessian)
+        return (image - beta).ravel()
 
-    A = spla.LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=np.float64)
-    M = spla.LinearOperator((npts + 1, npts + 1), matvec=precond, dtype=np.float64)
-    b = np.concatenate([rhs.ravel(), [0.0]])
-    # Start from the preconditioner's answer, not from zero; through
-    # M.matvec, so the call is the same ``precond`` closure.
-    x, info = spla.lgmres(A, b, x0=M.matvec(b), M=M, rtol=rtol, atol=0.0, maxiter=maxiter)
+    A = spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
+    # Start from the preconditioner's answer: r0 = rhs is eta0 = M^-1 rhs.
+    y, info = spla.lgmres(A, rhs.ravel(), x0=rhs.ravel(), rtol=rtol, atol=0.0, maxiter=maxiter)
     if info != 0:
         raise LinearSolverStalled(f"constrained linear solve did not converge (info={info})")
-    return x[:npts].reshape(shape), float(x[npts])
+    if not np.array_equal(last.get("r"), y.reshape(shape)):
+        # LGMRES returned a point it did not apply the operator to (rhs = 0).
+        A.matvec(y)
+    eta = _irfftn(last["eta"], shape) if fused else last["eta"]
+    return eta, last["beta"], last["hessian"]

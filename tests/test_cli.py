@@ -395,8 +395,25 @@ def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
         ("gauduchon", {"metric": {"kind": "explicit", "path": "g.field", "f": "0"}}, "'f'"),
         ("solve", {"rhs": {"expression": "0.4*cos(2*pi*x1)", "expresion": "0"}}, "'expresion'"),
         ("solve", {"rhs": {"expression": "0.4*cos(2*pi*x1)", "path": "g.field"}}, "exactly one"),
+        (
+            "prescribe-ricci",
+            {"psi": {"h_expression": "0.1*cos(2*pi*x1)", "h_expresion": "0.5*cos(2*pi*x1)"}},
+            "'h_expresion'",
+        ),
+        ("prescribe-ricci", {"psi": {"h_expression": "0", "path": "g.field"}}, "exactly one"),
+        ("report", {"phi": {"path": "phi.field", "pth": "other.field"}}, "'pth'"),
     ],
-    ids=["flat", "conformal", "kaehler_perturbation", "explicit", "rhs-typo", "rhs-both"],
+    ids=[
+        "flat",
+        "conformal",
+        "kaehler_perturbation",
+        "explicit",
+        "rhs-typo",
+        "rhs-both",
+        "psi-typo",
+        "psi-both",
+        "phi-typo",
+    ],
 )
 def test_unknown_spec_key_is_a_config_error(tmp_path, capsys, monkeypatch, task, patch, named):
     monkeypatch.chdir(tmp_path)
@@ -445,12 +462,14 @@ def test_gauduchon_runs_repeat_bytewise(tmp_path):
 
 
 def test_gauduchon_task_builds_the_weight_operator_of_g_once(tmp_path, monkeypatch):
-    # The planes are built once, for g, and applied to the constant 1 once:
-    # M(1) is both the weight solve's right-hand side and the input defect,
-    # and the output metric's defect M(e^u) reuses the same planes.
+    # The planes are built once, for g, and applied three times: to the
+    # constant 1 once, M(1) being both the weight solve's right-hand side
+    # and the input defect; once in the solve, which the start M^-1 b ends
+    # on this conformal metric; and once to v = e^u, whose image gives the
+    # solve's check, the residual and the output metric's defect.
     from matorus import cli, geometry
 
-    builds, images_of_one = [], []
+    builds, applications, images_of_one = [], [], []
     coefficient_planes, laplacian_adjoint = geometry.coefficient_planes, geometry.laplacian_adjoint
 
     def counted_planes(coeff):
@@ -458,6 +477,7 @@ def test_gauduchon_task_builds_the_weight_operator_of_g_once(tmp_path, monkeypat
         return coefficient_planes(coeff)
 
     def counted_apply(planes, values, grid):
+        applications.append(1)
         if np.all(values == 1.0):
             images_of_one.append(1)
         return laplacian_adjoint(planes, values, grid)
@@ -467,6 +487,7 @@ def test_gauduchon_task_builds_the_weight_operator_of_g_once(tmp_path, monkeypat
         monkeypatch.setattr(module, "laplacian_adjoint", counted_apply, raising=False)
     assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
     assert len(builds) == 1
+    assert len(applications) == 3
     assert len(images_of_one) == 1
     monkeypatch.undo()
     # The summary holds what the stand-alone calls give.

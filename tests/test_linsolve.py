@@ -1,13 +1,17 @@
 """The operator layer on its own: the Laplacian kernel and its adjoint
 with the same coefficient planes, the bordered solve with either kernel
-on manufactured solutions, and the scaled preconditioner, which inverts
-both kernels exactly for a conformal metric."""
+on manufactured solutions, the scaled preconditioner, which inverts
+both kernels exactly for a conformal metric, and the one spectral pass
+of the right-preconditioned Laplacian operator."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from matorus import linsolve
 from matorus.geometry import _weight_coefficient_fields, gauduchon_weight
-from matorus.grid import GridSpec, coefficient_planes, inverse
+from matorus.grid import GridSpec, _hessian_matrix, coefficient_planes, complex_hessian, inverse
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 from matorus.problems import random_metric, random_trig_field
 
@@ -51,7 +55,7 @@ def test_bordered_solve_recovers_manufactured_solution(kernel, N):
     eta = eta - eta.mean()
     beta = 0.37
     rhs = apply(planes, eta, grid) - beta
-    got_eta, got_beta = solve_constrained(apply, planes, rhs, grid)
+    got_eta, got_beta, _ = solve_constrained(apply, planes, rhs, grid)
     assert float(np.max(np.abs(got_eta - eta))) <= 1e-9
     assert abs(got_beta - beta) <= 1e-9
 
@@ -87,7 +91,79 @@ def test_conformal_laplacian_solve_is_one_krylov_step(n, count_matvecs):
     rhs = np.random.default_rng(77 + n).standard_normal(grid.shape)
     rhs -= rhs.mean()
     planes = laplacian_planes(inverse(g))
-    eta, beta = solve_constrained(laplacian, planes, rhs, grid)
+    eta, beta, _ = solve_constrained(laplacian, planes, rhs, grid)
     assert 0 < len(count_matvecs) <= 4
     assert float(np.max(np.abs(laplacian(planes, eta, grid) - beta - rhs))) <= 1e-9
     assert abs(float(eta.mean())) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_solution_is_mean_free_to_rounding(kernel):
+    grid = GridSpec(2, 8)
+    rng = np.random.default_rng(15)
+    apply, planes_of = KERNELS[kernel]
+    rhs = rng.standard_normal(grid.shape)
+    rhs -= rhs.mean()
+    eta, _, _ = solve_constrained(apply, planes_of(random_metric(grid, rng)), rhs, grid)
+    assert abs(float(eta.mean())) <= 1e-14 * float(np.max(np.abs(eta)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplacian_operator_is_one_spectral_pass(n, monkeypatch, count_transforms):
+    # The preconditioner hands eta's half spectrum to the Laplacian: one
+    # application is one forward transform and the n^2 inverse transforms
+    # of the Hessian planes.
+    grid = GridSpec(n, 8)
+    rng = np.random.default_rng(150 + n)
+    planes = laplacian_planes(inverse(random_metric(grid, rng)))
+    rhs = rng.standard_normal(grid.shape)
+    rhs -= rhs.mean()
+    per_application = []
+    spla = linsolve.spla
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def LinearOperator(self, shape, matvec, **kwargs):
+            def counted(x):
+                before = Counter(count_transforms)
+                out = matvec(x)
+                per_application.append(count_transforms - before)
+                return out
+
+            return spla.LinearOperator(shape, matvec=counted, **kwargs)
+
+    monkeypatch.setattr(linsolve, "spla", Counted())
+    solve_constrained(laplacian, planes, rhs, grid, rtol=1e-6)
+    assert len(per_application) > 1
+    assert all(c == {"rfftn": 1, "irfftn": n * n} for c in per_application)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_hessian_planes_are_those_of_the_returned_solution(kernel):
+    grid = GridSpec(2, 8)
+    rng = np.random.default_rng(1515)
+    apply, planes_of = KERNELS[kernel]
+    rhs = rng.standard_normal(grid.shape)
+    rhs -= rhs.mean()
+    eta, _, hessian = solve_constrained(apply, planes_of(random_metric(grid, rng)), rhs, grid)
+    if apply is laplacian_adjoint:
+        assert hessian is None
+        return
+    want = complex_hessian(eta, grid)
+    assert float(np.max(np.abs(_hessian_matrix(hessian, grid) - want))) <= 1e-12 * float(
+        np.max(np.abs(want))
+    )
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_zero_right_hand_side_gives_zero(kernel):
+    # LGMRES applies nothing to a zero right-hand side; the solve applies
+    # the operator once itself to return the solution and its planes.
+    grid = GridSpec(2, 8)
+    apply, planes_of = KERNELS[kernel]
+    planes = planes_of(random_metric(grid, np.random.default_rng(0)))
+    eta, beta, hessian = solve_constrained(apply, planes, np.zeros(grid.shape), grid)
+    assert not np.any(eta) and beta == 0.0
+    assert hessian is None or not any(np.any(h) for h in hessian)

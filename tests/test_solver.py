@@ -192,6 +192,27 @@ class TestNewton:
         for a, b in zip(hist[-3:-1], hist[-2:]):
             assert b <= a**1.5
 
+    def test_correction_hessian_comes_from_the_krylov_solve(self, grid8, rng, monkeypatch):
+        # The Hessian planes of each correction come back from the last
+        # operator application; only the start is differentiated.
+        from matorus import solver
+
+        calls = []
+        original = solver.complex_hessian
+
+        def counted(values, grid):
+            calls.append(1)
+            return original(values, grid)
+
+        monkeypatch.setattr(solver, "complex_hessian", counted)
+        g = metric_from_spec(grid8, {"kind": "kaehler_perturbation", "f": "0.01*cos(2*pi*x1)"})
+        F = random_trig_field(grid8, rng, amplitude=0.5, bandwidth=1)
+        res = newton_solve(g, F)
+        assert res.newton_iters >= 3
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert float(np.max(np.abs(ma_log_residual(g, res.phi, F, res.b).values))) <= 1e-10
+
     def test_uniqueness_under_perturbed_initialization(self, grid8, rng):
         g = identity_metric(grid8)
         F = random_trig_field(grid8, rng, amplitude=0.5, bandwidth=1)

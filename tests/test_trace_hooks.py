@@ -1,7 +1,8 @@
 """The benchmark tracer (perfbench/tracer.py) finds the hooks it counts
 the operator layer by: ``linsolve.solve_constrained``, ``linsolve.spla``
-and the Krylov closures named ``matvec`` and ``precond``. A rename there
-would silently zero ``linsolve.matvecs`` and ``linsolve.precond.calls``.
+and the Krylov closure named ``matvec``. A rename there would silently
+zero ``linsolve.matvecs``. The preconditioner is part of that operator
+(right preconditioning), not a Krylov operator of its own.
 
 The tracer rebinds module attributes, so it runs in a child process and
 nothing leaks into the other tests; ``-B`` keeps the child from writing
@@ -52,6 +53,4 @@ def test_tracer_hooks_see_the_operator_layer(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     # Neither exists in the package any more; the tracer reports both missing.
     assert set(out["missing"]) <= {"geometry.spla", "estimates.ThreadPoolExecutor"}
-    assert {"linsolve.solve_constrained", "linsolve.matvec", "linsolve.precond"} <= set(
-        out["spans"]
-    )
+    assert {"linsolve.solve_constrained", "linsolve.matvec"} <= set(out["spans"])
