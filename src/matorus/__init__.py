@@ -29,7 +29,7 @@ from .geometry import (
     trace_pair,
     wedge_integral,
 )
-from .solver import SolveResult, SolverConfig, continuity_solve, linearized_apply, ma_log_residual, newton_solve
+from .solver import SolveResult, SolverConfig, continuity_solve, ma_log_residual, newton_solve
 from .estimates import EstimateReport, report, sweep
 from .jets import CoordinateChange, MetricJet, check_balanced_coords, check_cs_chain, normal_coordinates
 from .chern import PrescriptionResult, constraint_integral, prescribe_ricci
@@ -63,7 +63,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "ma_log_residual",
-    "linearized_apply",
     "newton_solve",
     "continuity_solve",
     "EstimateReport",

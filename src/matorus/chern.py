@@ -51,6 +51,9 @@ from .solver import SolverConfig, SolveResult, continuity_solve
 # Largest sup|d(psi)| accepted as closed and largest pairing accepted as zero.
 _CLOSED_TOL = 1e-8
 _CONSTRAINT_TOL = 1e-8
+# Poisson solve in the distinguished metric: Krylov rtol and iteration cap.
+_POISSON_RTOL = 1e-12
+_POISSON_MAXITER = 30
 
 
 @dataclass(frozen=True)
@@ -89,19 +92,15 @@ def constraint_integral(
     return wedge_integral(ricci_form(g) - psi, omega_G)
 
 
-def _poisson_solve_gauduchon(
-    g_g: HermitianField,
-    rhs: np.ndarray,
-    config: SolverConfig,
-) -> np.ndarray:
+def _poisson_solve_gauduchon(g_g: HermitianField, rhs: np.ndarray) -> np.ndarray:
     """Solve laplacian_G f = rhs in the mean-zero gauge of g_G's measure."""
     f, _, _ = solve_constrained(
         laplacian,
         laplacian_planes(inverse(g_g)),
         rhs=rhs,
         grid=g_g.grid,
-        rtol=config.linear_tol,
-        maxiter=config.linear_maxiter,
+        rtol=_POISSON_RTOL,
+        maxiter=_POISSON_MAXITER,
     )
     w = measure_weights(g_g)
     return f - (w * f).sum()
@@ -127,7 +126,7 @@ def prescribe_ricci(
     ric = ricci_form(g)
     diff = ric - psi
     rhs = 2.0 * np.pi * pair_density(diff, g_g) / det(g_g)
-    f_vals = _poisson_solve_gauduchon(g_g, rhs, config)
+    f_vals = _poisson_solve_gauduchon(g_g, rhs)
     f = ScalarField(grid, f_vals)
 
     a = HermitianField(

@@ -33,7 +33,7 @@ from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .expressions import sample_expression
 from .fieldio import _write_atomic, serialize
-from .geometry import _weight_image, defects, ricci_form, weight_planes
+from .geometry import _weight_image, defects, ricci_form
 from .grid import (
     GridSpec,
     HermitianField,
@@ -42,7 +42,6 @@ from .grid import (
     min_eigenvalue,
 )
 from .jets import run_identity_fuzz
-from .linsolve import laplacian_adjoint
 from .problems import _reject_unknown_keys
 from .problems import field_from_spec, metric_from_spec, rhs_from_spec, spec_string
 from .solver import SolveResult, SolverConfig, nested_solve
@@ -237,19 +236,15 @@ def _task_sweep(cfg: RunConfig, out: str) -> dict:
 
 def _task_gauduchon(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
-    # The weight operator M of g is built once. Its image M(1) is both the
-    # weight solve's right-hand side and the input Gauduchon defect, and
-    # its image M(v) of v = e^{(n-1)u} = M_{e^u g}(1) gives both the weight
-    # residual and the defect of the output metric.
-    planes = weight_planes(g)
-    m_one = laplacian_adjoint(planes, np.ones(cfg.grid.shape), cfg.grid)
-    u, v, m_v = _weight_image(g, planes, m_one)
-    gauduchon_defect = float(np.max(np.abs(m_one)))
+    # The weight operator M of g is built once, in the weight solve. Its
+    # image M(1) gives the input Gauduchon defect, and its image M(v) of
+    # v = e^{(n-1)u} = M_{e^u g}(1) gives both the weight residual and the
+    # defect of the output metric. M is released before defects(g) runs,
+    # so the latter's own peak sets the task's.
+    u, v, gauduchon_defect, m_v = _weight_image(g)
     output_defect = float(np.max(np.abs(m_v)))
     residual = output_defect / float(np.max(np.abs(v.values)))
-    # Whatever defects(g) does not need is released before it runs, so its
-    # own peak sets the task's.
-    del m_one, m_v, planes
+    del m_v
     serialize(u, os.path.join(out, "u.field"))
     serialize(v, os.path.join(out, "v.field"))
     d = defects(g, gauduchon_defect)

@@ -2,6 +2,11 @@
 oscillation, exponential-moment constants, level-set measures, and trial
 exponent fits, evaluated on converged solves and parameter sweeps.
 
+The trace is tr_g g' = n + laplacian_g phi for the solution metric
+g' = g + Hess phi (Yau's identity, which holds for Hermitian g too), so
+``sup_tr`` is sup(n + laplacian_g phi), taken from the canonical
+Laplacian of g (``geometry.canonical_laplacian``): g' is never built.
+
 All expectations use the probability measure with weights
 det(g) / sum(det(g)) (the normalized volume form of the background).
 R_alpha is computed in the translation-invariant, numerically nonnegative
@@ -22,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContinuationStalled, MatorusError
-from .grid import HermitianField, ScalarField, complex_hessian, measure_weights
-from .geometry import trace_pair
+from .grid import HermitianField, ScalarField, measure_weights
+from .geometry import canonical_laplacian
 from .solver import SolverConfig, SolveResult, continuity_solve, newton_finish
 
 TRIAL_EXPONENTS = (0.5, 1.0, 2.0, 4.0)
@@ -72,18 +77,17 @@ def report(g: HermitianField, result: SolveResult) -> EstimateReport:
     g = g.as_metric()
     w = measure_weights(g)
     phi = result.phi.values
-    gprime = HermitianField(g.grid, g.values + complex_hessian(phi, g.grid))
-    tr, _ = trace_pair(g, gprime)
+    tr = g.grid.complex_dim + canonical_laplacian(g, result.phi).values
     shifted = phi - phi.min()
 
     r_alpha = {a: exp_moment_constant(phi, w, a) for a in ALPHA_GRID}
     c1 = r_alpha[1.0]
     fitted = [
-        (a, float(np.max(tr.values * np.exp(-a * shifted)))) for a in TRIAL_EXPONENTS
+        (a, float(np.max(tr * np.exp(-a * shifted)))) for a in TRIAL_EXPONENTS
     ]
-    q_max = float(np.max(np.log(tr.values) - REFERENCE_EXPONENT * phi))
+    q_max = float(np.max(np.log(tr) - REFERENCE_EXPONENT * phi))
     return EstimateReport(
-        sup_tr=float(tr.values.max()),
+        sup_tr=float(tr.max()),
         osc_phi=float(phi.max() - phi.min()),
         R_alpha=r_alpha,
         C1=c1,

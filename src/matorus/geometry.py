@@ -4,6 +4,7 @@ Conventions, with G the coefficient matrix g_{ij-bar} of the metric form:
 
     laplacian f   = g^{ij-bar} d_i d_jbar f      = trace(G^-1 Hess f)
     tr_g g'       = g^{ij-bar} g'_{ij-bar}       = trace(G^-1 G')
+                  = n + laplacian phi            for g' = g + Hess phi
     torsion       T^k_ij = g^{kl-bar} (d_i g_{jl-bar} - d_j g_{il-bar})
     Ricci form    R_{kl-bar} = -(1/2pi) d_k d_lbar log det g
 
@@ -16,13 +17,14 @@ complementary to dz^p dzbar^m contracts two Levi-Civita symbols with n-1
 factors of g; each of the (n-1)! orderings of the factors gives the same
 cofactor of g, adj(g)[m, p]. The operator M is the adjoint Laplacian
 ``linsolve.laplacian_adjoint`` with the coefficient planes of C
-(``weight_planes``), built once per ``gauduchon_weight`` or
-``gauduchon_residual`` call unless the caller passes them in, as the
-``gauduchon`` task does for g. C(e^u g) = e^{(n-1)u} C(g) exactly, so
-M_{e^u g}(f) = M(e^{(n-1)u} f). The weight is returned as v = e^{(n-1)u},
-so its one image M(v) gives the solve's contract check, the task's
-weight residual and the Gauduchon defect sup |M(v)| of e^u g. The kernel
-is obtained by one deflated Krylov solve in the mean-zero complement
+(``weight_planes``). ``_weight_image``, the one entry of the weight
+solve (behind ``gauduchon_weight`` and the ``gauduchon`` task), builds
+them and M(1) once and returns sup |M(1)|, the Gauduchon defect of g,
+with the weight. C(e^u g) = e^{(n-1)u} C(g) exactly, so M_{e^u g}(f) =
+M(e^{(n-1)u} f). The weight is returned as v = e^{(n-1)u}, so its one
+image M(v) gives the solve's contract check, the task's weight residual
+and the Gauduchon defect sup |M(v)| of e^u g. The kernel is obtained by
+one deflated Krylov solve in the mean-zero complement
 (``linsolve.solve_constrained``).
 
 The first derivatives of the metric enter only antisymmetrized,
@@ -148,17 +150,13 @@ def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
 
 def weight_planes(g: HermitianField) -> tuple:
     """Coefficient planes of the weight operator M(v) = d dbar (v omega^{n-1})
-    of g, for ``laplacian_adjoint``. A caller that applies M of one metric
-    several times builds them once and passes them on."""
+    of g, for ``laplacian_adjoint``."""
     return coefficient_planes(_weight_coefficient_fields(g))
 
 
-def gauduchon_residual(g: HermitianField, v: ScalarField, planes: tuple | None = None) -> float:
-    """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|; ``planes`` are
-    ``weight_planes(g)``, built here when not given."""
-    if planes is None:
-        planes = weight_planes(g)
-    r = laplacian_adjoint(planes, v.values, g.grid)
+def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
+    """sup |d dbar (v omega^{n-1}) coefficient| / sup |v|."""
+    r = laplacian_adjoint(weight_planes(g), v.values, g.grid)
     return float(np.max(np.abs(r)) / np.max(np.abs(v.values)))
 
 
@@ -204,11 +202,7 @@ def ricci_form(g: HermitianField) -> HermitianField:
     return HermitianField(g.grid, -h / (2.0 * np.pi))
 
 
-def gauduchon_weight(
-    g: HermitianField,
-    planes: tuple | None = None,
-    m_one: np.ndarray | None = None,
-) -> tuple:
+def gauduchon_weight(g: HermitianField) -> tuple:
     """Conformal weight (u, v) with d dbar (v omega^{n-1}) = 0, v > 0.
 
     v is normalized so the conformal metric has unit volume,
@@ -225,28 +219,26 @@ def gauduchon_weight(
     bordered solve pins the flat mean of xi to zero, and since M(xi) =
     -M(1) lies in the range of M (the mean-zero functions) the border
     unknown comes back zero.
-
-    ``planes`` (``weight_planes(g)``) and ``m_one``, their image M(1) of
-    the constant 1, are built here unless the caller has them already.
     """
-    u, v, _ = _weight_image(g, planes, m_one)
+    u, v, _, _ = _weight_image(g)
     return u, v
 
 
-def _weight_image(g: HermitianField, planes: tuple | None, m_one: np.ndarray | None) -> tuple:
-    """(u, v, M(v)) for ``gauduchon_weight``: v is e^{(n-1)u} itself, and
-    its image M(v), the one application of M after the solve, is both the
-    solve's contract check and the caller's weight residual."""
+def _weight_image(g: HermitianField) -> tuple:
+    """(u, v, sup |M(1)|, M(v)) for ``gauduchon_weight``, with the planes
+    of M built once: sup |M(1)| is the Gauduchon defect of g, v is
+    e^{(n-1)u} itself, and its image M(v), the one application of M after
+    the solve, is both the solve's contract check and the caller's weight
+    residual."""
     g = g.as_metric()
     grid = g.grid
     shape = grid.shape
-    if planes is None:
-        planes = weight_planes(g)
-    if m_one is None:
-        m_one = laplacian_adjoint(planes, np.ones(shape), grid)
+    planes = weight_planes(g)
+    m_one = laplacian_adjoint(planes, np.ones(shape), grid)
+    m_one_sup = float(np.max(np.abs(m_one)))
 
     v = np.ones(shape)
-    if float(np.max(np.abs(m_one))) > 1e-14:
+    if m_one_sup > 1e-14:
         xi, _, _ = solve_constrained(
             laplacian_adjoint,
             planes,
@@ -256,6 +248,7 @@ def _weight_image(g: HermitianField, planes: tuple | None, m_one: np.ndarray | N
             maxiter=_WEIGHT_MAXITER,
         )
         v = v + xi
+    del m_one
     u, v = _finish_weight(g, v)
     m_v = laplacian_adjoint(planes, v.values, grid)
     resid = float(np.max(np.abs(m_v)) / np.max(np.abs(v.values)))
@@ -263,7 +256,7 @@ def _weight_image(g: HermitianField, planes: tuple | None, m_one: np.ndarray | N
         raise LinearSolverStalled(
             f"conformal-weight solve stalled at relative residual {resid:.3e}"
         )
-    return u, v, m_v
+    return u, v, m_one_sup, m_v
 
 
 def _finish_weight(g: HermitianField, v: np.ndarray) -> tuple:
@@ -281,12 +274,10 @@ def _finish_weight(g: HermitianField, v: np.ndarray) -> tuple:
     return ScalarField(g.grid, u), ScalarField(g.grid, np.exp((n - 1) * u))
 
 
-def gauduchon_metric(
-    g: HermitianField, planes: tuple | None = None, m_one: np.ndarray | None = None
-) -> tuple:
+def gauduchon_metric(g: HermitianField) -> tuple:
     """(omega_G, u, v): the distinguished conformal metric e^u g and its
-    weight; ``planes`` and ``m_one`` as in ``gauduchon_weight``."""
-    u, v = gauduchon_weight(g, planes=planes, m_one=m_one)
+    weight, as in ``gauduchon_weight``."""
+    u, v = gauduchon_weight(g)
     g_g = HermitianField(g.grid, g.values * np.exp(u.values)[..., None, None], metric=True)
     return g_g, u, v
 

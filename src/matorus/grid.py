@@ -10,11 +10,15 @@ Holomorphic derivatives are Wirtinger operators
     d_jbar  = (d/dx^j + i d/dy^j) / 2.
 
 Every derivative is Fourier collocation, which differentiates
-trigonometric polynomials of degree < N/2 exactly. First-derivative
-multipliers vanish at the Nyquist frequency (exact for the symmetric mode
-interpretation, and keeps real fields real); same-axis second derivatives
-keep the full Nyquist symbol, so the discrete Laplacian's kernel is
-exactly the constants.
+trigonometric polynomials of degree < N/2 exactly. Every first derivative
+multiplies the complex spectrum by the one Wirtinger symbol sigma_j of
+d_j (``_holo_symbols``): d_jbar by -conj(sigma_j), d/dx^j by
+sigma_j - conj(sigma_j) and d/dy^j by i (sigma_j + conj(sigma_j)), and
+``geometry.antisymmetric_pairs`` differentiates the metric with the same
+symbols. They vanish at the Nyquist frequency (exact for the symmetric
+mode interpretation, and keeps real fields real); same-axis second
+derivatives keep the full Nyquist symbol, so the discrete Laplacian's
+kernel is exactly the constants.
 
 Integration fixes all volume-form constants (n!, powers of i/2) into a
 single convention: ``integrate(f, g) = mean over grid points of
@@ -30,7 +34,8 @@ planes (``coefficient_planes``).
 
 Fields are immutable after construction; all pointwise kernels are pure
 and closed form. ``_adjugate`` is the one cofactor kernel (``inverse``,
-the coefficient fields of omega^{n-1}, the n=2 wedge pairing).
+the Newton step's inverse, the coefficient fields of omega^{n-1}, the
+n=2 wedge pairing).
 The FFT backend (scipy.fft) keeps an internal plan cache that is safe for
 concurrent read-only use; the worker count is taken from the MA_THREADS
 environment variable.
@@ -215,17 +220,6 @@ def coefficient_planes(coeff: np.ndarray) -> tuple:
     return tuple(planes)
 
 
-def _real_axis_derivative(values: np.ndarray, grid: GridSpec, real_axis: int):
-    """d/d(coordinate) along one real axis."""
-    N = grid.points_per_axis
-    spec = _sfft.fft(values, axis=real_axis, workers=_workers())
-    m = _frequencies(N)
-    shape = [1] * values.ndim
-    shape[real_axis] = N
-    out = _sfft.ifft(spec * (2j * np.pi * m.reshape(shape)), axis=real_axis, workers=_workers())
-    return out if np.iscomplexobj(values) else out.real
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real or complex function sampled on the grid."""
@@ -394,15 +388,11 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    out = _adjugate(m)
-    out /= _det(m)[..., None, None]
-    return out
-
-
 def inverse(h: HermitianField) -> np.ndarray:
     """Pointwise inverse adj(h) / det(h), returned as a raw array."""
-    return _inverse(h.values)
+    out = _adjugate(h.values)
+    out /= _det(h.values)[..., None, None]
+    return out
 
 
 def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:
@@ -422,29 +412,31 @@ def min_eigenvalue(h: HermitianField) -> tuple:
     return float(emin.reshape(-1)[flat]), point
 
 
-def d_holo(f: ScalarField, axis: int) -> ScalarField:
-    """Holomorphic Wirtinger derivative d_axis f (axis in 0..n-1)."""
+def _holo_symbol(f: ScalarField, axis: int) -> np.ndarray:
     n = f.grid.complex_dim
     if not 0 <= axis < n:
         raise GridMismatchError(f"holomorphic axis {axis} out of range for n={n}")
-    dx = _real_axis_derivative(f.values, f.grid, 2 * axis)
-    dy = _real_axis_derivative(f.values, f.grid, 2 * axis + 1)
-    return ScalarField(f.grid, 0.5 * (dx - 1j * dy))
+    return _holo_symbols(f.grid)[axis]
+
+
+def d_holo(f: ScalarField, axis: int) -> ScalarField:
+    """Holomorphic Wirtinger derivative d_axis f (axis in 0..n-1), symbol sigma."""
+    return ScalarField(f.grid, _ifftn(_holo_symbol(f, axis) * _fftn(f.values)))
 
 
 def d_antiholo(f: ScalarField, axis: int) -> ScalarField:
-    """Anti-holomorphic Wirtinger derivative d_axisbar f."""
-    n = f.grid.complex_dim
-    if not 0 <= axis < n:
-        raise GridMismatchError(f"holomorphic axis {axis} out of range for n={n}")
-    dx = _real_axis_derivative(f.values, f.grid, 2 * axis)
-    dy = _real_axis_derivative(f.values, f.grid, 2 * axis + 1)
-    return ScalarField(f.grid, 0.5 * (dx + 1j * dy))
+    """Anti-holomorphic Wirtinger derivative d_axisbar f, symbol -conj(sigma)."""
+    return ScalarField(f.grid, _ifftn(-np.conj(_holo_symbol(f, axis)) * _fftn(f.values)))
 
 
 def d_real(f: ScalarField, real_axis: int) -> ScalarField:
-    """Derivative along a single real axis (0..2n-1)."""
-    return ScalarField(f.grid, _real_axis_derivative(f.values, f.grid, real_axis))
+    """Derivative along a single real axis (0..2n-1): d/dx^j = d_j + d_jbar,
+    symbol sigma - conj(sigma), and d/dy^j = i (d_j - d_jbar), symbol
+    i (sigma + conj(sigma)). A real field has a real derivative."""
+    s = _holo_symbol(f, real_axis // 2)
+    symbol = s - np.conj(s) if real_axis % 2 == 0 else 1j * (s + np.conj(s))
+    out = _ifftn(symbol * _fftn(f.values))
+    return ScalarField(f.grid, out.real if f.is_real else out)
 
 
 def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -51,7 +51,7 @@ Krylov failure), ``continuity_solve`` on the same grid with the failure
 recorded first in ``rejected`` as (1.0, error code).
 
 Each Newton correction is an inexact solve: LGMRES runs to the relative
-tolerance max(linear_tol, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
+tolerance max(1e-12, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
 |r| is the sup-norm of the current log residual. A forcing term of order
 |r| keeps Newton's quadratic convergence (Dembo, Eisenstat and Steihaug,
 SIAM J. Numer. Anal. 19, 1982). The last term stops each solve near the
@@ -60,8 +60,12 @@ tolerance alone asks for less than rounding and LGMRES stalls (Eisenstat
 and Walker, SIAM J. Sci. Comput. 17, 1996). The final residual is ~1e-11
 rather than ~1e-16, still below ``newton_tol``.
 
-``SolverConfig`` takes finite numbers > 0 for its tolerances, steps and
-damping and integers >= 1 for its iteration counts, never booleans.
+``SolverConfig`` has four fields: ``newton_tol``, ``max_newton_iters``,
+``t_step_initial`` and ``t_step_min``. It takes finite numbers > 0 for
+the tolerance and the steps and an integer >= 1 for the iteration cap,
+never booleans. The line-search damping 0.5, the forcing-term floor
+1e-12 and the cap of 30 LGMRES outer iterations per correction are
+fixed constants of the module.
 """
 
 from __future__ import annotations
@@ -80,22 +84,26 @@ from .errors import (
     NotPositiveError,
     PositivityLost,
 )
-from .geometry import canonical_laplacian
 from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
+    _adjugate,
     _det,
     _eigmin_grid,
     _hessian_matrix,
-    _inverse,
     complex_hessian,
     det,
     resample,
 )
 from .linsolve import laplacian, laplacian_planes, solve_constrained
 
+# Line search: the step factor after a rejected trial, and the smallest step.
+_DAMPING = 0.5
 _MIN_LINE_SEARCH_STEP = 1e-10
+# Newton corrections: the forcing-term floor and the LGMRES outer-iteration cap.
+_LINEAR_TOL = 1e-12
+_LINEAR_MAXITER = 30
 
 
 @dataclass(frozen=True)
@@ -104,23 +112,17 @@ class SolverConfig:
     max_newton_iters: int = 12
     t_step_initial: float = 1.0
     t_step_min: float = 1e-3
-    damping: float = 0.5
-    linear_tol: float = 1e-12
-    linear_maxiter: int = 30
 
     def __post_init__(self):
-        for name in ("newton_tol", "t_step_initial", "t_step_min", "damping", "linear_tol"):
+        for name in ("newton_tol", "t_step_initial", "t_step_min"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
                 raise ConfigError(f"solver config field {name} must be a finite number > 0")
-        for name in ("max_newton_iters", "linear_maxiter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ConfigError(f"solver config field {name} must be an integer >= 1")
+        value = self.max_newton_iters
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise ConfigError("solver config field max_newton_iters must be an integer >= 1")
         if not (self.t_step_min <= self.t_step_initial <= 1.0):
             raise ConfigError("need t_step_min <= t_step_initial <= 1")
-        if self.damping >= 1.0:
-            raise ConfigError("damping factor must be < 1")
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,6 @@ def ma_log_residual(g: HermitianField, phi: ScalarField, F: ScalarField, b: floa
     return ScalarField(g.grid, np.log(det(gp)) - np.log(det(g)) - F.values - b)
 
 
-def linearized_apply(gprime: HermitianField, eta: ScalarField) -> ScalarField:
-    """Derivative of phi -> log det(g + Hess phi): the canonical Laplacian
-    of the solution metric applied to eta."""
-    return canonical_laplacian(gprime, eta)
-
-
 def newton_solve(
     g: HermitianField,
     F_target: ScalarField,
@@ -174,10 +170,12 @@ def newton_solve(
 ) -> SolveResult:
     """Newton iteration for (phi, b) at a fixed right-hand side.
 
-    Each correction has zero grid mean; its complex Hessian is assembled
-    from the planes ``solve_constrained`` returns with it. The returned
-    phi is shifted to sup phi = 0, which leaves the equation and b
-    unchanged.
+    Each iterate takes one determinant, for both its log residual and
+    its inverse adj / det. Each correction has zero grid mean; its complex
+    Hessian is assembled from the planes ``solve_constrained`` returns
+    with it, and the line search's accepted trial is the next iterate.
+    The returned phi is shifted to sup phi = 0, which leaves the equation
+    and b unchanged.
     """
     config = config or SolverConfig()
     grid = g.grid
@@ -203,7 +201,9 @@ def newton_solve(
     # steps) and positive (the line search), so it is not validated again.
     history = []
     for _ in range(config.max_newton_iters):
-        residual = np.log(_det(gp).real) - logdet_g - F_target.values - float(b)
+        # A copy, not a view that would keep the complex determinant alive.
+        det_gp = _det(gp).real.copy()
+        residual = np.log(det_gp) - logdet_g - F_target.values - float(b)
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
         if res_norm <= config.newton_tol:
@@ -219,13 +219,11 @@ def newton_solve(
 
         eta, db, hessian = solve_constrained(
             laplacian,
-            laplacian_planes(_inverse(gp)),
+            laplacian_planes(_adjugate(gp) / det_gp[..., None, None]),
             rhs=-residual,
             grid=grid,
-            rtol=max(
-                config.linear_tol, min(0.1, res_norm**2), 0.1 * config.newton_tol / res_norm
-            ),
-            maxiter=config.linear_maxiter,
+            rtol=max(_LINEAR_TOL, min(0.1, res_norm**2), 0.1 * config.newton_tol / res_norm),
+            maxiter=_LINEAR_MAXITER,
         )
 
         h_eta = _hessian_matrix(hessian, grid)
@@ -233,10 +231,11 @@ def newton_solve(
         del hessian
         alpha = 1.0
         while True:
-            emin_trial = float(_eigmin_grid(gp + alpha * h_eta, n).min())
+            trial = gp + alpha * h_eta
+            emin_trial = float(_eigmin_grid(trial, n).min())
             if emin_trial > 0.1 * emin_cur:
                 break
-            alpha *= config.damping
+            alpha *= _DAMPING
             if alpha < _MIN_LINE_SEARCH_STEP:
                 raise PositivityLost(
                     "line search cannot keep the solution metric positive "
@@ -244,7 +243,7 @@ def newton_solve(
                 )
         phi = phi + alpha * eta
         b = float(b) + alpha * db
-        gp = gp + alpha * h_eta
+        gp = trial
         emin_cur = emin_trial
 
     raise MaxItersExceeded(

@@ -555,6 +555,30 @@ def test_invalid_solver_value_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, value", [("linear_tol", 1e-12), ("linear_maxiter", 30), ("damping", 0.5)]
+)
+def test_fixed_solver_constant_is_not_a_config_key(tmp_path, capsys, key, value):
+    # The Krylov tolerance, its iteration cap and the line-search damping
+    # are constants of the solver, not settings: even the default value
+    # is an unknown key.
+    cfg = write_config(
+        tmp_path,
+        "fixed.json",
+        {
+            "grid": BASE_GRID,
+            "metric": {"kind": "flat"},
+            "rhs": {"expression": "0.4*cos(2*pi*x1)"},
+            "solver": {key: value},
+        },
+    )
+    assert run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
+    assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
     "patch",
     [
         {"grid": {"complex_dim": 2.9, "points_per_axis": 8}},

@@ -20,11 +20,12 @@ from matorus.grid import (
     complex_hessian,
     constant_field,
     identity_metric,
+    min_eigenvalue,
 )
-from matorus.problems import random_trig_field
-from matorus.solver import SolverConfig, continuity_solve
+from matorus.problems import random_metric, random_trig_field
+from matorus.solver import SolverConfig, SolveResult, continuity_solve
 
-from conftest import conformal_metric, count_weight_solves
+from conftest import conformal_metric, count_weight_solves, peak_field_units
 
 
 CRITERION_8_SCALES = [0.25, 0.5, 1.0, 1.5, 2.0]
@@ -46,6 +47,20 @@ def _criterion_8_problem():
 def _cold(g, F, s, config=None):
     """The continuation from t = 0 at s * F."""
     return continuity_solve(g, ScalarField(F.grid, s * F.values), config)
+
+
+def _report_input(n: int):
+    """A non-Kahler background g, the solution metric g + Hess phi of a
+    small admissible phi, and phi as a solve result (no solve is run)."""
+    grid = GridSpec(n, 8)
+    rng = np.random.default_rng(16)
+    g = random_metric(grid, rng)
+    phi = random_trig_field(grid, rng, amplitude=0.02, bandwidth=1).values
+    gp = HermitianField(grid, g.values + complex_hessian(phi, grid), metric=True)
+    res = SolveResult(
+        phi=ScalarField(grid, phi - phi.max()), b=0.0, min_eigen_gprime=min_eigenvalue(gp)[0]
+    )
+    return g, gp, res
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +128,19 @@ class TestReport:
         tr, _ = trace_pair(g, gp)
         lap = canonical_laplacian(g, res.phi)
         assert np.max(np.abs(tr.values - 2.0 - lap.values)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sup_tr_is_the_sup_of_the_trace_of_the_solution_metric(self, n):
+        g, gp, res = _report_input(n)
+        want = float(np.max(trace_pair(g, gp)[0].values))
+        assert abs(report(g, res).sup_tr - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("n, budget", [(2, 8.5), (3, 15.0)])
+    def test_report_memory_budget(self, n, budget):
+        # The trace is n + laplacian_g phi: no solution metric g + Hess phi
+        # and no inverse of it is built.
+        g, _, res = _report_input(n)
+        assert peak_field_units(lambda: report(g, res), g.grid) <= budget
 
     def test_pointwise_inequalities_on_solve(self, solved):
         grid, g, F, res = solved

@@ -81,12 +81,30 @@ def test_fourier_exact_on_band_limited_modes(rng):
         assert np.max(np.abs(got - want)) < 1e-11
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_real_derivatives_are_sums_of_wirtinger_derivatives(grid8, rng, kind):
+    # d/dx^j = d_j + d_jbar and d/dy^j = i (d_j - d_jbar), all from the
+    # symbol of d_j.
+    vals = rng.standard_normal(grid8.shape)
+    if kind == "complex":
+        vals = vals + 1j * rng.standard_normal(grid8.shape)
+    f = ScalarField(grid8, vals)
+    for j in range(2):
+        dh, da = d_holo(f, j).values, d_antiholo(f, j).values
+        dx, dy = d_real(f, 2 * j), d_real(f, 2 * j + 1)
+        assert dx.is_real == dy.is_real == f.is_real
+        assert np.max(np.abs(dx.values - (dh + da))) < 1e-12
+        assert np.max(np.abs(dy.values - 1j * (dh - da))) < 1e-12
+
+
 def test_axis_out_of_range(grid8):
     f = constant_field(grid8)
     with pytest.raises(GridMismatchError):
         d_holo(f, 2)
     with pytest.raises(GridMismatchError):
         d_antiholo(f, -1)
+    with pytest.raises(GridMismatchError):
+        d_real(f, 4)
 
 
 def test_ddbar_zero_and_cosine(grid16):

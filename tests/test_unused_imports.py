@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name the package exports exists.
 
 Standard library only: each module is parsed with ``ast``, the names its
 import statements bind are collected, and each must be read somewhere in
@@ -65,3 +66,8 @@ def test_guard_flags_an_unused_import():
         "    raise ConfigError(os.sep)\n"
     )
     assert unused_imports(source) == ["line 3: GM"]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in matorus.__all__ if not hasattr(matorus, name)]
+    assert missing == []
