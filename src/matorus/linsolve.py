@@ -39,7 +39,7 @@ mode of Lbar and the border row is met exactly.
 
 The solve is right-preconditioned (Saad, Iterative Methods for Sparse
 Linear Systems, 2nd ed., SIAM 2003, sec. 9.3) and has no border row:
-LGMRES works on R^npts with the one operator
+GMRES (``_gmres``) works on R^npts with the one operator
 
     r -> apply(planes, eta(r)) - beta(r),   (eta, beta)(r) = M^-1 (r, 0).
 
@@ -47,20 +47,20 @@ With s = 0 in the border slot, M^-1 meets mean(eta) = 0 exactly, so the
 border row of K M^-1 is the identity on s; the border equation s = 0
 drops out and the system left is square and nonsingular. For the
 ``laplacian`` kernel eta never leaves the spectrum: M^-1 ends with its
-half spectrum, and the Laplacian reads the Hessian planes of eta off it,
-so one application costs one forward and n^2 inverse real transforms.
-The planes of the last application come back with the answer when
-LGMRES returns the point it last applied the operator to, so the Newton
-step does not differentiate its correction again. ``laplacian_adjoint``
-(and any other kernel, scaled on the right) works on eta in field form.
+half spectrum, and the Laplacian reads the Hessian planes of eta off it
+one at a time, so one application costs one forward and n^2 inverse
+real transforms. ``laplacian_adjoint`` (and any other kernel, scaled on
+the right) works on eta in field form.
 
-Each solve starts at r0 = rhs, that is at eta0 = M^-1 (rhs, 0), the
-preconditioner's answer, so LGMRES's first operator application computes
-the residual of that start. For a conformal metric e^h I the planes of
-G^-1 are e^-h I and the conformal-weight fields are (n-1)! e^((n-1)h) I,
-so both normalized operators have constant coefficients at phi = 0: M is
-the exact inverse, the start is the solution, and that one application
-confirms it at every n.
+GMRES(30) starts at x0 = rhs, that is at eta0 = M^-1 (rhs, 0), the
+preconditioner's answer. A start that meets the tolerance comes back with
+the Hessian planes of the first application; any other answer takes one
+more pass of M^-1 for its planes, so the Newton step does not
+differentiate its correction again. For a conformal metric e^h I the
+planes of G^-1 are e^-h I and the conformal-weight fields are (n-1)!
+e^((n-1)h) I, so both normalized operators have constant coefficients
+at phi = 0: M is the exact inverse, the start is the solution, and that
+one application confirms it at every n.
 
 The callers are the Newton step (``solver.newton_solve``), the Poisson
 solve in the distinguished metric (``chern._poisson_solve_gauduchon``)
@@ -69,8 +69,9 @@ and the conformal-weight kernel solve (``geometry.gauduchon_weight``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import LinearSolverStalled
 from .grid import (
@@ -81,6 +82,8 @@ from .grid import (
     coefficient_planes,
     real_hessian_symbols,
 )
+
+_RESTART = 30  # Arnoldi steps per GMRES cycle, the inner_m default of LGMRES
 
 
 def laplacian_planes(ginv: np.ndarray) -> tuple:
@@ -139,9 +142,9 @@ def solve_constrained(
     ``laplacian_adjoint``, called as (planes, values, grid), and sets the
     side of the preconditioner's scaling. ``hessian`` is the tuple of the
     n^2 real Hessian planes of eta (``grid.real_hessian_symbols``) for the
-    ``laplacian`` kernel and None for the other."""
+    ``laplacian`` kernel and None for the other; LinearSolverStalled past
+    ``maxiter`` GMRES cycles."""
     shape = grid.shape
-    npts = grid.npoints
     zero = (0,) * len(shape)
     n = grid.complex_dim
     # Only 1/a is kept: each normalized plane lives just long enough for
@@ -159,36 +162,72 @@ def solve_constrained(
         return spec
 
     fused = apply is laplacian
-    last = {}
+    b = rhs.ravel()
+    start = []
 
-    def matvec(x):
-        # K M^-1 (r, 0) with (eta, beta) = M^-1 (r, 0), mean(eta) = 0.
-        # The last application's planes go first: one set is alive at a time.
-        last.clear()
-        r = x.reshape(shape)
+    def precondition(r):
+        # (eta, beta) = M^-1 (r, 0) with mean(eta) = 0, and eta's planes.
+        r = r.reshape(shape)
         if fused:
             # a Lbar(eta) - beta = r, eta kept as its half spectrum, whose
             # Hessian planes the Laplacian reads.
             beta = -float((r * inv_a).mean()) / mean_inv_a
             eta = solve_frozen((r + beta) * inv_a)
-            hessian = tuple(_hessian_planes(eta, grid))
-            image = _contract(planes, hessian, grid)
-        else:
-            # Lbar(a eta) - beta = r
-            beta = -float(r.mean())
-            u = _irfftn(solve_frozen(r + beta), shape)
-            eta = (u - float((u * inv_a).mean()) / mean_inv_a) * inv_a
-            hessian, image = None, apply(planes, eta, grid)
-        last.update(r=r.copy(), eta=eta, beta=beta, hessian=hessian)
+            return eta, beta, tuple(_hessian_planes(eta, grid))
+        # Lbar(a eta) - beta = r
+        beta = -float(r.mean())
+        u = _irfftn(solve_frozen(r + beta), shape)
+        return (u - float((u * inv_a).mean()) / mean_inv_a) * inv_a, beta, None
+
+    def matvec(r):
+        # K M^-1 (r, 0); the start r = b keeps its answer, for a solve that ends there.
+        start.clear()
+        eta, beta, hessian = answer = precondition(r)
+        if r is b:
+            start.extend(answer)
+        image = _contract(planes, hessian, grid) if fused else apply(planes, eta, grid)
         return (image - beta).ravel()
 
-    A = spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
-    # Start from the preconditioner's answer: r0 = rhs is eta0 = M^-1 rhs.
-    y, info = spla.lgmres(A, rhs.ravel(), x0=rhs.ravel(), rtol=rtol, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        raise LinearSolverStalled(f"constrained linear solve did not converge (info={info})")
-    if not np.array_equal(last.get("r"), y.reshape(shape)):
-        # LGMRES returned a point it did not apply the operator to (rhs = 0).
-        A.matvec(y)
-    eta = _irfftn(last["eta"], shape) if fused else last["eta"]
-    return eta, last["beta"], last["hessian"]
+    x = _gmres(matvec, b, b, rtol, maxiter)
+    eta, beta, hessian = start or precondition(x)
+    return (_irfftn(eta, shape) if fused else eta), beta, hessian
+
+
+def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, maxiter: int) -> np.ndarray:
+    """x with |b - matvec(x)| <= rtol |b| by GMRES(_RESTART) (Saad and
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986). Each cycle starts from
+    its true residual, the first at x0 itself, which is returned if it
+    meets the tolerance, and stops on the Givens estimate of the residual."""
+    tol, x = rtol * math.sqrt(b @ b), x0
+    for _ in range(maxiter):
+        r = b - matvec(x)
+        g = [math.sqrt(r @ r)]
+        if g[0] <= tol:
+            return x
+        r /= g[0]
+        basis, columns, rotations = [r], [], []
+        while True:
+            w = matvec(basis[-1])
+            h = []
+            for v in basis:
+                h.append(float(v @ w))
+                w -= h[-1] * v
+            h_next = math.sqrt(w @ w)
+            for j, (c, s) in enumerate(rotations):
+                h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
+            d = math.hypot(h[-1], h_next)
+            c, s = h[-1] / d, h_next / d
+            rotations.append((c, s))
+            columns.append(h[:-1] + [d])
+            g[-1:] = c * g[-1], -s * g[-1]
+            if abs(g[-1]) <= tol or len(basis) == _RESTART:
+                break
+            basis.append(w / h_next)
+        # Back substitution R y = g for the rotated Hessenberg matrix R[i][j] = columns[j][i].
+        y = g[:-1]
+        for i in reversed(range(len(y))):
+            y[i] = (y[i] - sum(columns[j][i] * y[j] for j in range(i + 1, len(y)))) / columns[i][i]
+        x = x + sum(yi * v for yi, v in zip(y, basis))
+        if abs(g[-1]) <= tol:
+            return x
+    raise LinearSolverStalled(f"GMRES short of rtol {rtol:.1e} after {maxiter} cycles")

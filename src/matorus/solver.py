@@ -12,7 +12,7 @@ solves the bordered system [laplacian, -1; mean, 0] for a correction of
 zero grid mean and the change of b, by ``linsolve.solve_constrained``
 with the ``laplacian`` kernel and the planes of the inverse solution
 metric. That solve also returns the Hessian planes of the correction,
-from its last operator application, so the step updates the solution
+from its preconditioner's last pass, so the step updates the solution
 metric without differentiating the correction again. The equation is
 invariant under constant shifts of phi, so no correction is spent on
 the constant of the start; on output phi is re-normalized to sup phi =
@@ -50,13 +50,13 @@ the start or Newton fails (a stalled continuation, Newton, positivity or
 Krylov failure), ``continuity_solve`` on the same grid with the failure
 recorded first in ``rejected`` as (1.0, error code).
 
-Each Newton correction is an inexact solve: LGMRES runs to the relative
+Each Newton correction is an inexact solve: GMRES runs to the relative
 tolerance max(1e-12, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
 |r| is the sup-norm of the current log residual. A forcing term of order
 |r| keeps Newton's quadratic convergence (Dembo, Eisenstat and Steihaug,
 SIAM J. Numer. Anal. 19, 1982). The last term stops each solve near the
 absolute accuracy newton_tol / 10: close to the solution a relative
-tolerance alone asks for less than rounding and LGMRES stalls (Eisenstat
+tolerance alone asks for less than rounding and GMRES stalls (Eisenstat
 and Walker, SIAM J. Sci. Comput. 17, 1996). The final residual is ~1e-11
 rather than ~1e-16, still below ``newton_tol``.
 
@@ -64,7 +64,7 @@ rather than ~1e-16, still below ``newton_tol``.
 ``t_step_initial`` and ``t_step_min``. It takes finite numbers > 0 for
 the tolerance and the steps and an integer >= 1 for the iteration cap,
 never booleans. The line-search damping 0.5, the forcing-term floor
-1e-12 and the cap of 30 LGMRES outer iterations per correction are
+1e-12 and the cap of 30 GMRES cycles of 30 steps per correction are
 fixed constants of the module.
 """
 
@@ -101,7 +101,7 @@ from .linsolve import laplacian, laplacian_planes, solve_constrained
 # Line search: the step factor after a rejected trial, and the smallest step.
 _DAMPING = 0.5
 _MIN_LINE_SEARCH_STEP = 1e-10
-# Newton corrections: the forcing-term floor and the LGMRES outer-iteration cap.
+# Newton corrections: the forcing-term floor and the cap on GMRES(30) cycles.
 _LINEAR_TOL = 1e-12
 _LINEAR_MAXITER = 30
 
@@ -245,6 +245,7 @@ def newton_solve(
         b = float(b) + alpha * db
         gp = trial
         emin_cur = emin_trial
+        del h_eta  # freed before the next solve, not when its successor is built
 
     raise MaxItersExceeded(
         f"Newton did not reach tolerance {config.newton_tol:.1e} in "

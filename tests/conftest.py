@@ -56,30 +56,29 @@ def count_weight_solves(monkeypatch) -> list:
 
 @pytest.fixture
 def count_matvecs(monkeypatch) -> list:
-    """Wrap the operator closure (``matvec``) that ``solve_constrained``
-    hands to ``linsolve.spla.LinearOperator``; the returned list grows by
-    one per operator application."""
+    """Wrap the operator (``matvec``) that ``solve_constrained`` hands to
+    ``linsolve._gmres``; the returned list grows by one per operator
+    application."""
+    calls = []
+
+    def wrap(matvec):
+        def counted(x):
+            calls.append(1)
+            return matvec(x)
+
+        return counted
+
+    wrap_gmres_operator(monkeypatch, wrap)
+    return calls
+
+
+def wrap_gmres_operator(monkeypatch, wrap):
+    """Patch ``linsolve._gmres`` to run on ``wrap(matvec)`` in place of
+    the operator ``matvec`` it is handed."""
     from matorus import linsolve
 
-    calls = []
-    spla = linsolve.spla
-
-    class Counted:
-        def __getattr__(self, name):
-            return getattr(spla, name)
-
-        def LinearOperator(self, shape, matvec, **kwargs):
-            if matvec.__name__ == "matvec":
-                inner = matvec
-
-                def matvec(x):
-                    calls.append(1)
-                    return inner(x)
-
-            return spla.LinearOperator(shape, matvec=matvec, **kwargs)
-
-    monkeypatch.setattr(linsolve, "spla", Counted())
-    return calls
+    real = linsolve._gmres
+    monkeypatch.setattr(linsolve, "_gmres", lambda matvec, *args: real(wrap(matvec), *args))
 
 
 TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn")

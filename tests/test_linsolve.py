@@ -1,8 +1,9 @@
 """The operator layer on its own: the Laplacian kernel and its adjoint
 with the same coefficient planes, the bordered solve with either kernel
 on manufactured solutions, the scaled preconditioner, which inverts
-both kernels exactly for a conformal metric, and the one spectral pass
-of the right-preconditioned Laplacian operator."""
+both kernels exactly for a conformal metric, the one spectral pass of
+the right-preconditioned Laplacian operator, and the restarted GMRES
+that inverts it."""
 
 from collections import Counter
 
@@ -10,12 +11,20 @@ import numpy as np
 import pytest
 
 from matorus import linsolve
+from matorus.errors import LinearSolverStalled
 from matorus.geometry import _weight_coefficient_fields, gauduchon_weight
-from matorus.grid import GridSpec, _hessian_matrix, coefficient_planes, complex_hessian, inverse
+from matorus.grid import (
+    GridSpec,
+    HermitianField,
+    _hessian_matrix,
+    coefficient_planes,
+    complex_hessian,
+    inverse,
+)
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 from matorus.problems import random_metric, random_trig_field
 
-from conftest import conformal_metric, sample
+from conftest import conformal_metric, sample, wrap_gmres_operator
 
 # Each kernel with the planes its callers give it: the inverse metric for
 # the Laplacian, the conformal-weight fields for its adjoint.
@@ -119,22 +128,17 @@ def test_laplacian_operator_is_one_spectral_pass(n, monkeypatch, count_transform
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
     per_application = []
-    spla = linsolve.spla
 
-    class Counted:
-        def __getattr__(self, name):
-            return getattr(spla, name)
+    def wrap(matvec):
+        def counted(x):
+            before = Counter(count_transforms)
+            out = matvec(x)
+            per_application.append(count_transforms - before)
+            return out
 
-        def LinearOperator(self, shape, matvec, **kwargs):
-            def counted(x):
-                before = Counter(count_transforms)
-                out = matvec(x)
-                per_application.append(count_transforms - before)
-                return out
+        return counted
 
-            return spla.LinearOperator(shape, matvec=counted, **kwargs)
-
-    monkeypatch.setattr(linsolve, "spla", Counted())
+    wrap_gmres_operator(monkeypatch, wrap)
     solve_constrained(laplacian, planes, rhs, grid, rtol=1e-6)
     assert len(per_application) > 1
     assert all(c == {"rfftn": 1, "irfftn": n * n} for c in per_application)
@@ -159,11 +163,70 @@ def test_hessian_planes_are_those_of_the_returned_solution(kernel):
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_zero_right_hand_side_gives_zero(kernel):
-    # LGMRES applies nothing to a zero right-hand side; the solve applies
-    # the operator once itself to return the solution and its planes.
+    # The start eta0 = M^-1 0 = 0 meets the tolerance at the first
+    # application, whose solution and planes the solve returns.
     grid = GridSpec(2, 8)
     apply, planes_of = KERNELS[kernel]
     planes = planes_of(random_metric(grid, np.random.default_rng(0)))
     eta, beta, hessian = solve_constrained(apply, planes, np.zeros(grid.shape), grid)
     assert not np.any(eta) and beta == 0.0
     assert hessian is None or not any(np.any(h) for h in hessian)
+
+
+def _anisotropic(grid, amplitude):
+    """diag(e^a, e^-a) turned by the angle 2 pi y2, a = amplitude * cos(2 pi
+    x1): the frozen symbol of the preconditioner misses both the stretch and
+    the turn, so the solve takes more than one GMRES cycle."""
+    c = grid.coordinates()
+    a = np.broadcast_to(amplitude * np.cos(2 * np.pi * c["x1"]), grid.shape)
+    t = np.broadcast_to(2 * np.pi * c["y2"], grid.shape)
+    cos, sin, up, down = np.cos(t), np.sin(t), np.exp(a), np.exp(-a)
+    values = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    values[..., 0, 0] = cos * cos * up + sin * sin * down
+    values[..., 1, 1] = sin * sin * up + cos * cos * down
+    values[..., 0, 1] = values[..., 1, 0] = cos * sin * (up - down)
+    return HermitianField(grid, values, metric=True)
+
+
+def _manufactured_anisotropic(kernel):
+    grid = GridSpec(2, 8)
+    apply, planes_of = KERNELS[kernel]
+    planes = planes_of(_anisotropic(grid, 2.0))
+    eta = random_trig_field(grid, np.random.default_rng(38)).values
+    eta = eta - eta.mean()
+    return grid, apply, planes, eta, apply(planes, eta, grid) - 0.37
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_solve_over_several_gmres_cycles_recovers_manufactured_solution(kernel, count_matvecs):
+    grid, apply, planes, eta, rhs = _manufactured_anisotropic(kernel)
+    got_eta, got_beta, _ = solve_constrained(apply, planes, rhs, grid)
+    # The first cycle is the start and _RESTART Arnoldi steps.
+    assert len(count_matvecs) > linsolve._RESTART + 1
+    assert float(np.max(np.abs(got_eta - eta))) <= 1e-9
+    assert abs(got_beta - 0.37) <= 1e-9
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_exhausted_gmres_cycles_raise_stalled(kernel, count_matvecs):
+    grid, apply, planes, _, rhs = _manufactured_anisotropic(kernel)
+    with pytest.raises(LinearSolverStalled):
+        solve_constrained(apply, planes, rhs, grid, maxiter=1)
+    assert len(count_matvecs) == linsolve._RESTART + 1
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_gmres_with_k_arnoldi_steps_applies_the_operator_k_plus_one_times(k):
+    # A diagonal operator with k distinct eigenvalues: the Krylov space of
+    # any b has dimension k, so GMRES ends at its k-th Arnoldi step.
+    diag = np.repeat(np.arange(1.0, k + 1), 5)
+    b = np.random.default_rng(k).standard_normal(diag.size)
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return diag * x
+
+    x = linsolve._gmres(matvec, b, np.zeros_like(b), 1e-10, 1)
+    assert len(calls) == k + 1
+    assert float(np.max(np.abs(diag * x - b))) <= 1e-9 * float(np.max(np.abs(b)))
