@@ -9,23 +9,25 @@ Conventions, with G the coefficient matrix g_{ij-bar} of the metric form:
     Ricci form    R_{kl-bar} = -(1/2pi) d_k d_lbar log det g
 
 The conformal weight solve finds v > 0 with d dbar (v omega^{n-1}) = 0,
-the distinguished representative in the conformal class. The coefficient
-of d dbar (v omega^{n-1}) is sum_pm d_p d_mbar (v C[p, m]) with
-C = (n-1)! adj(g)^T (``_weight_coefficient_fields``, from
-``grid._adjugate``). The coefficient of omega^{n-1} on the form
-complementary to dz^p dzbar^m contracts two Levi-Civita symbols with n-1
-factors of g; each of the (n-1)! orderings of the factors gives the same
-cofactor of g, adj(g)[m, p]. The operator M is the adjoint Laplacian
-``linsolve.laplacian_adjoint`` with the coefficient planes of C
-(``weight_planes``). ``_weight_image``, the one entry of the weight
-solve (behind ``gauduchon_weight`` and the ``gauduchon`` task), builds
-them and M(1) once and returns sup |M(1)|, the Gauduchon defect of g,
-with the weight. C(e^u g) = e^{(n-1)u} C(g) exactly, so M_{e^u g}(f) =
-M(e^{(n-1)u} f). The weight is returned as v = e^{(n-1)u}, so its one
-image M(v) gives the solve's contract check, the task's weight residual
-and the Gauduchon defect sup |M(v)| of e^u g. The kernel is obtained by
-one deflated Krylov solve in the mean-zero complement
-(``linsolve.solve_constrained``).
+the distinguished representative in the conformal class. The identity
+n i d dbar f ^ omega^{n-1} = (laplacian f) omega^n makes the Gauduchon
+condition the kernel of the adjoint Laplacian (Gauduchon, C. R. Acad.
+Sci. Paris 285, 1977): the coefficient of d dbar (v omega^{n-1}) is
+
+    M(v) = (n-1)! laplacian^*(det g v) = sum_pm d_p d_mbar (v (n-1)! adj(g)[m, p]),
+
+with laplacian^* the flat L2 adjoint. M is ``linsolve.laplacian_adjoint``
+with the planes of (n-1)! adj(g) (``weight_planes``), from the builder
+that gives the Laplacian those of adj(g) / det g
+(``linsolve.laplacian_planes``). ``_weight_image``, the one entry of the
+weight solve (behind ``gauduchon_weight`` and the ``gauduchon`` task),
+builds them and M(1) once and returns sup |M(1)|, the Gauduchon defect
+of g, with the weight. adj(e^u g) = e^{(n-1)u} adj(g) exactly, so
+M_{e^u g}(f) = M(e^{(n-1)u} f). The weight is returned as
+v = e^{(n-1)u}, so its one image M(v) gives the solve's contract check,
+the task's weight residual and the Gauduchon defect sup |M(v)| of e^u g.
+The kernel is obtained by one deflated Krylov solve in the mean-zero
+complement (``linsolve.solve_constrained``).
 
 The first derivatives of the metric enter only antisymmetrized,
 d_i g_{jl-bar} - d_j g_{il-bar} (the coefficients of d omega), and one
@@ -65,7 +67,6 @@ from .grid import (
     _fftn,
     _holo_symbols,
     _ifftn,
-    coefficient_planes,
     complex_hessian,
     constant_field,
     det,
@@ -108,23 +109,15 @@ def antisymmetric_pairs(g: HermitianField):
                 yield i, j, l, _ifftn(sig[i] * spec[j]) - _ifftn(sig[j] * spec[i])
 
 
-def _antisymmetrized_derivatives(g: HermitianField) -> np.ndarray:
-    """d_i g_{jl-bar} - d_j g_{il-bar}, shape grid + (i, j, l)."""
-    n = g.grid.complex_dim
-    out = np.zeros(g.grid.shape + (n, n, n), dtype=np.complex128)
-    for i, j, l, d in antisymmetric_pairs(g):
-        out[..., i, j, l] = d
-        np.negative(d, out=out[..., j, i, l])
-    return out
-
-
 def torsion(g: HermitianField) -> TorsionField:
-    if not g.metric:
-        g = g.as_metric()
-    antisym = _antisymmetrized_derivatives(g)
-    ginv = inverse(g)
-    t = np.einsum("...lk,...ijl->...kij", ginv, antisym)
-    return TorsionField(g.grid, t)
+    g = g.as_metric()
+    n = g.grid.complex_dim
+    # d_i g_{jl-bar} - d_j g_{il-bar}, shape grid + (i, j, l)
+    antisym = np.zeros(g.grid.shape + (n, n, n), dtype=np.complex128)
+    for i, j, l, d in antisymmetric_pairs(g):
+        antisym[..., i, j, l] = d
+        np.negative(d, out=antisym[..., j, i, l])
+    return TorsionField(g.grid, np.einsum("...lk,...ijl->...kij", inverse(g), antisym))
 
 
 @dataclass(frozen=True)
@@ -141,17 +134,10 @@ class MetricDefects:
     gauduchon_defect: float
 
 
-def _weight_coefficient_fields(g: HermitianField) -> np.ndarray:
-    """C = (n-1)! adj(g)^T, so d dbar (v omega^{n-1}) ~ sum_pm d_p d_mbar (v C[p,m])."""
-    c = np.swapaxes(_adjugate(g.values), -1, -2)
-    c *= math.factorial(g.grid.complex_dim - 1)
-    return c
-
-
 def weight_planes(g: HermitianField) -> tuple:
     """Coefficient planes of the weight operator M(v) = d dbar (v omega^{n-1})
-    of g, for ``laplacian_adjoint``."""
-    return coefficient_planes(_weight_coefficient_fields(g))
+    of g, the planes of (n-1)! adj(g), for ``laplacian_adjoint``."""
+    return laplacian_planes(g.values, math.factorial(g.grid.complex_dim - 1))
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
@@ -185,7 +171,8 @@ def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
     """Laplace operator of the canonical connection, trace(G^-1 Hess f)."""
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    return ScalarField(f.grid, laplacian(laplacian_planes(inverse(g)), f.values, f.grid))
+    planes = laplacian_planes(g.values, 1.0 / det(g))
+    return ScalarField(f.grid, laplacian(planes, f.values, f.grid))
 
 
 def trace_pair(g: HermitianField, gprime: HermitianField) -> tuple:

@@ -30,12 +30,12 @@ fields with complex-to-complex ones. The Hessian symbols are cached once
 per grid as real half-spectrum planes (``real_hessian_symbols``), built
 on first use; every second-order operator with Hermitian coefficients
 acts on real fields through them and the matching real coefficient
-planes (``coefficient_planes``).
+planes, which ``linsolve.laplacian_planes`` alone builds.
 
 Fields are immutable after construction; all pointwise kernels are pure
 and closed form. ``_adjugate`` is the one cofactor kernel (``inverse``,
-the Newton step's inverse, the coefficient fields of omega^{n-1}, the
-n=2 wedge pairing).
+the coefficient planes of ``linsolve.laplacian_planes``, the n=2 wedge
+pairing).
 The FFT backend (scipy.fft) keeps an internal plan cache that is safe for
 concurrent read-only use; the worker count is taken from the MA_THREADS
 environment variable.
@@ -181,8 +181,8 @@ def hessian_symbol(grid: GridSpec, i: int, j: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def real_hessian_symbols(grid: GridSpec) -> tuple:
     """Real half-spectrum planes of the Hessian symbols, in the order of
-    ``coefficient_planes``: S_ii for each i, then Re S_ij and Im S_ij for
-    each i < j, with S_ij the symbol of d_i d_jbar.
+    ``linsolve.laplacian_planes``: S_ii for each i, then Re S_ij and
+    Im S_ij for each i < j, with S_ij the symbol of d_i d_jbar.
 
     Each plane is real and even in the frequency, so it maps real fields
     to real fields: for real f and F = rfftn(f), d_i d_jbar f is
@@ -202,21 +202,6 @@ def real_hessian_symbols(grid: GridSpec) -> tuple:
         for j in range(i + 1, n):
             s = hessian_symbol(grid, i, j)
             planes += [plane(s.real), plane(s.imag)]
-    return tuple(planes)
-
-
-def coefficient_planes(coeff: np.ndarray) -> tuple:
-    """Real planes of the operator sum_ij coeff[..., i, j] d_i d_jbar for
-    Hermitian coefficients, in the order of ``real_hessian_symbols``:
-    Re coeff_ii for each i, then 2 Re coeff_ij and -2 Im coeff_ij for each
-    i < j. On a real field f the operator is
-    sum_k planes[k] * irfftn(symbols[k] * rfftn(f)).
-    """
-    n = coeff.shape[-1]
-    planes = [coeff[..., i, i].real.copy() for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            planes += [2.0 * coeff[..., i, j].real, -2.0 * coeff[..., i, j].imag]
     return tuple(planes)
 
 
@@ -269,7 +254,8 @@ class HermitianField:
     Entry [i, j] holds the coefficient on dz^{i+1} wedge dzbar^{j+1}; a
     metric g corresponds to the form omega = i * sum g_ij dz^i dzbar^j.
     Matrices are symmetrized on construction after checking Hermiticity to
-    1e-13 relative; ``metric=True`` additionally validates positivity.
+    1e-13 relative; ``metric=True`` additionally validates positivity and
+    that det g, the volume form, is a positive normal double.
     """
 
     grid: GridSpec
@@ -318,6 +304,21 @@ class HermitianField:
                     f"metric has non-positive eigenvalue {emin:.6e} at grid point {point}",
                     worst_point=point,
                     worst_eigenvalue=emin,
+                )
+            # det g, the volume form, must be a positive normal double; as
+            # emin^n <= det <= (n vmax)^n, it is computed only near an end.
+            lo, hi = np.finfo(float).tiny, np.finfo(float).max
+            if np.log(lo) + 1 < n * np.log(emin) and n * np.log(n * vmax) < np.log(hi) - 1:
+                return
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = _det(out).real
+                ok = lo <= d.min() <= d.max() <= hi  # False for NaN too
+            if not ok:
+                point = tuple(map(int, np.unravel_index(np.argmin((d >= lo) & (d <= hi)), d.shape)))
+                raise NotPositiveError(
+                    f"metric volume form det g = {d[point]:.6e} at grid point {point} "
+                    "is not a positive normal double",
+                    worst_point=point,
                 )
 
     def as_metric(self) -> "HermitianField":
@@ -407,9 +408,8 @@ def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:
 def min_eigenvalue(h: HermitianField) -> tuple:
     """Smallest eigenvalue over the grid and the point where it occurs."""
     emin = _eigmin_grid(h.values, h.grid.complex_dim)
-    flat = int(np.argmin(emin))
-    point = np.unravel_index(flat, h.grid.shape)
-    return float(emin.reshape(-1)[flat]), point
+    point = tuple(map(int, np.unravel_index(np.argmin(emin), emin.shape)))
+    return float(emin[point]), point
 
 
 def _holo_symbol(f: ScalarField, axis: int) -> np.ndarray:

@@ -1,18 +1,18 @@
 """Spectral operator layer: second-order operators with variable
 coefficients and a bordered Krylov solve for them.
 
-An operator is described once, by its real coefficient planes P_k
-(``grid.coefficient_planes``), which match the half-spectrum Hessian
-symbols S_k cached per grid (``grid.real_hessian_symbols``). Two kernels
-take the same planes:
+An operator is described once, by the real planes P_k of scale * adj(m)
+for a Hermitian matrix field m (``laplacian_planes``, the one builder),
+which match the half-spectrum Hessian symbols S_k cached per grid
+(``grid.real_hessian_symbols``). Two kernels take the same planes:
 
     laplacian(P, f)         = sum_k P_k * irfftn(S_k * rfftn(f)),
     laplacian_adjoint(P, v) = irfftn(sum_k S_k * rfftn(P_k * v)).
 
 Each S_k is real and even, so the second is the L2 adjoint of the first.
-With the planes of G^-1 (``laplacian_planes``) the first is the canonical
-Laplacian trace(G^-1 Hess); with the planes of the conformal-weight
-fields of a metric the second is the coefficient of d dbar (v omega^{n-1}).
+With the planes of (g, 1 / det g) the first is the canonical Laplacian
+trace(G^-1 Hess); with those of (g, (n-1)!) the second is the weight
+operator, the coefficient of d dbar (v omega^{n-1}).
 
 ``solve_constrained(apply, planes, ...)`` solves, for a scalar field eta
 and a scalar beta, the bordered system
@@ -56,11 +56,11 @@ GMRES(30) starts at x0 = rhs, that is at eta0 = M^-1 (rhs, 0), the
 preconditioner's answer. A start that meets the tolerance comes back with
 the Hessian planes of the first application; any other answer takes one
 more pass of M^-1 for its planes, so the Newton step does not
-differentiate its correction again. For a conformal metric e^h I the
-planes of G^-1 are e^-h I and the conformal-weight fields are (n-1)!
-e^((n-1)h) I, so both normalized operators have constant coefficients
-at phi = 0: M is the exact inverse, the start is the solution, and that
-one application confirms it at every n.
+differentiate its correction again. For a conformal metric e^h I,
+adj(g) = e^((n-1)h) I: the planes of both operators are multiples of I,
+so the normalized ones have constant coefficients at phi = 0, M is the
+exact inverse, the start is the solution, and that one application
+confirms it at every n.
 
 The callers are the Newton step (``solver.newton_solve``), the Poisson
 solve in the distinguished metric (``chern._poisson_solve_gauduchon``)
@@ -76,21 +76,27 @@ import numpy as np
 from .errors import LinearSolverStalled
 from .grid import (
     GridSpec,
+    _adjugate,
     _hessian_planes,
     _irfftn,
     _rfftn,
-    coefficient_planes,
     real_hessian_symbols,
 )
 
 _RESTART = 30  # Arnoldi steps per GMRES cycle, the inner_m default of LGMRES
 
 
-def laplacian_planes(ginv: np.ndarray) -> tuple:
-    """Coefficient planes (``grid.coefficient_planes``) of trace(G^-1 Hess)
-    for the pointwise inverse metric ``ginv``, whose entry [j, i] is the
-    coefficient of d_i d_jbar."""
-    return coefficient_planes(np.swapaxes(ginv, -1, -2))
+def laplacian_planes(m: np.ndarray, scale) -> tuple:
+    """Real planes of sum_ij A[j, i] d_i d_jbar, A = scale * adj(m), for a
+    Hermitian matrix field ``m`` and a real number or field ``scale``, in
+    the order of ``real_hessian_symbols``: A_ii for each i, then 2 Re A_ij
+    and 2 Im A_ij for each i < j. Scale 1 / det m gives trace(m^-1 Hess)."""
+    adj, n = _adjugate(m), m.shape[-1]
+    planes = [scale * adj[..., i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            planes += [2.0 * scale * adj[..., i, j].real, 2.0 * scale * adj[..., i, j].imag]
+    return tuple(planes)
 
 
 def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -198,10 +204,10 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, maxiter: int) -> 
     Schultz, SIAM J. Sci. Stat. Comput. 7, 1986). Each cycle starts from
     its true residual, the first at x0 itself, which is returned if it
     meets the tolerance, and stops on the Givens estimate of the residual."""
-    tol, x = rtol * math.sqrt(b @ b), x0
+    tol, x = rtol * math.sqrt(_dot(b, b)), x0
     for _ in range(maxiter):
         r = b - matvec(x)
-        g = [math.sqrt(r @ r)]
+        g = [math.sqrt(_dot(r, r))]
         if g[0] <= tol:
             return x
         r /= g[0]
@@ -210,9 +216,9 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, maxiter: int) -> 
             w = matvec(basis[-1])
             h = []
             for v in basis:
-                h.append(float(v @ w))
+                h.append(_dot(v, w))
                 w -= h[-1] * v
-            h_next = math.sqrt(w @ w)
+            h_next = math.sqrt(_dot(w, w))
             for j, (c, s) in enumerate(rotations):
                 h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
             d = math.hypot(h[-1], h_next)
@@ -231,3 +237,8 @@ def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, maxiter: int) -> 
         if abs(g[-1]) <= tol:
             return x
     raise LinearSolverStalled(f"GMRES short of rtol {rtol:.1e} after {maxiter} cycles")
+
+
+def _dot(v: np.ndarray, w: np.ndarray) -> float:
+    """v . w summed in a fixed order (a BLAS ddot's order follows its threads)."""
+    return float(np.einsum("i,i->", v, w))

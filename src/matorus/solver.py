@@ -10,10 +10,11 @@ with Hess the complex Hessian. Newton's method linearizes the left side
 to the canonical Laplacian of the current solution metric; each step
 solves the bordered system [laplacian, -1; mean, 0] for a correction of
 zero grid mean and the change of b, by ``linsolve.solve_constrained``
-with the ``laplacian`` kernel and the planes of the inverse solution
-metric. That solve also returns the Hessian planes of the correction,
-from its preconditioner's last pass, so the step updates the solution
-metric without differentiating the correction again. The equation is
+with the ``laplacian`` kernel and the planes of adj(g') / det g' of the
+solution metric g' (``linsolve.laplacian_planes``). That solve also
+returns the Hessian planes of the correction, from its preconditioner's
+last pass, so the step updates the solution metric without
+differentiating the correction again. The equation is
 invariant under constant shifts of phi, so no correction is spent on
 the constant of the start; on output phi is re-normalized to sup phi =
 0, which leaves b unchanged. That is the only normalization: the
@@ -52,8 +53,8 @@ recorded first in ``rejected`` as (1.0, error code).
 
 Each Newton correction is an inexact solve: GMRES runs to the relative
 tolerance max(1e-12, min(0.1, |r|^2), 0.1 * newton_tol / |r|), where
-|r| is the sup-norm of the current log residual. A forcing term of order
-|r| keeps Newton's quadratic convergence (Dembo, Eisenstat and Steihaug,
+|r| is the sup-norm of the current log residual. A forcing term of
+order |r| keeps Newton's quadratic convergence (Dembo, Eisenstat and Steihaug,
 SIAM J. Numer. Anal. 19, 1982). The last term stops each solve near the
 absolute accuracy newton_tol / 10: close to the solution a relative
 tolerance alone asks for less than rounding and GMRES stalls (Eisenstat
@@ -88,7 +89,6 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    _adjugate,
     _det,
     _eigmin_grid,
     _hessian_matrix,
@@ -171,9 +171,10 @@ def newton_solve(
     """Newton iteration for (phi, b) at a fixed right-hand side.
 
     Each iterate takes one determinant, for both its log residual and
-    its inverse adj / det. Each correction has zero grid mean; its complex
-    Hessian is assembled from the planes ``solve_constrained`` returns
-    with it, and the line search's accepted trial is the next iterate.
+    the scale 1 / det of its Laplacian's planes. Each correction has zero
+    grid mean; its complex Hessian is assembled from the planes
+    ``solve_constrained`` returns with it, and the line search's accepted
+    trial is the next iterate.
     The returned phi is shifted to sup phi = 0, which leaves the equation
     and b unchanged.
     """
@@ -219,10 +220,11 @@ def newton_solve(
 
         eta, db, hessian = solve_constrained(
             laplacian,
-            laplacian_planes(_adjugate(gp) / det_gp[..., None, None]),
+            laplacian_planes(gp, 1.0 / det_gp),
             rhs=-residual,
             grid=grid,
-            rtol=max(_LINEAR_TOL, min(0.1, res_norm**2), 0.1 * config.newton_tol / res_norm),
+            # res_norm * res_norm is inf for a huge residual, where res_norm**2 raises.
+            rtol=max(_LINEAR_TOL, min(0.1, res_norm * res_norm), 0.1 * config.newton_tol / res_norm),
             maxiter=_LINEAR_MAXITER,
         )
 

@@ -266,6 +266,21 @@ def test_overflowing_metric_is_a_typed_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_non_positive_metric_reports_its_worst_point(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "np.json",
+        {"grid": BASE_GRID, "metric": {"kind": "kaehler_perturbation", "f": "5*cos(2*pi*x1)"}},
+    )
+    assert run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+    assert err["type"] == "not_positive"
+    assert len(err["worst_point"]) == 4
+    assert all(type(i) is int for i in err["worst_point"])
+    assert "np.int" not in err["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_failed_run_removes_stale_summary(tmp_path, capsys):
     assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0
     assert (tmp_path / "out" / "summary.json").exists()
@@ -470,11 +485,11 @@ def test_gauduchon_task_builds_the_weight_operator_of_g_once(tmp_path, monkeypat
     from matorus import cli, geometry
 
     builds, applications, images_of_one = [], [], []
-    coefficient_planes, laplacian_adjoint = geometry.coefficient_planes, geometry.laplacian_adjoint
+    laplacian_planes, laplacian_adjoint = geometry.laplacian_planes, geometry.laplacian_adjoint
 
-    def counted_planes(coeff):
+    def counted_planes(m, scale):
         builds.append(1)
-        return coefficient_planes(coeff)
+        return laplacian_planes(m, scale)
 
     def counted_apply(planes, values, grid):
         applications.append(1)
@@ -482,7 +497,7 @@ def test_gauduchon_task_builds_the_weight_operator_of_g_once(tmp_path, monkeypat
             images_of_one.append(1)
         return laplacian_adjoint(planes, values, grid)
 
-    monkeypatch.setattr(geometry, "coefficient_planes", counted_planes)
+    monkeypatch.setattr(geometry, "laplacian_planes", counted_planes)
     for module in (cli, geometry):
         monkeypatch.setattr(module, "laplacian_adjoint", counted_apply, raising=False)
     assert run_cli(["gauduchon", "--config", _gauduchon_config(tmp_path)]) == 0

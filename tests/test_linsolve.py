@@ -12,28 +12,24 @@ import pytest
 
 from matorus import linsolve
 from matorus.errors import LinearSolverStalled
-from matorus.geometry import _weight_coefficient_fields, gauduchon_weight
+from matorus.geometry import gauduchon_weight, weight_planes
 from matorus.grid import (
     GridSpec,
     HermitianField,
     _hessian_matrix,
-    coefficient_planes,
     complex_hessian,
-    inverse,
+    det,
 )
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 from matorus.problems import random_metric, random_trig_field
 
 from conftest import conformal_metric, sample, wrap_gmres_operator
 
-# Each kernel with the planes its callers give it: the inverse metric for
-# the Laplacian, the conformal-weight fields for its adjoint.
+# Each kernel with the planes its callers give it: adj(g) / det(g) for
+# the Laplacian, (n-1)! adj(g) for its adjoint, the weight operator.
 KERNELS = {
-    "laplacian": (laplacian, lambda g: laplacian_planes(inverse(g))),
-    "laplacian_adjoint": (
-        laplacian_adjoint,
-        lambda g: coefficient_planes(_weight_coefficient_fields(g)),
-    ),
+    "laplacian": (laplacian, lambda g: laplacian_planes(g.values, 1.0 / det(g))),
+    "laplacian_adjoint": (laplacian_adjoint, weight_planes),
 }
 
 
@@ -99,7 +95,7 @@ def test_conformal_laplacian_solve_is_one_krylov_step(n, count_matvecs):
     grid, g = _conformal(n)
     rhs = np.random.default_rng(77 + n).standard_normal(grid.shape)
     rhs -= rhs.mean()
-    planes = laplacian_planes(inverse(g))
+    planes = laplacian_planes(g.values, 1.0 / det(g))
     eta, beta, _ = solve_constrained(laplacian, planes, rhs, grid)
     assert 0 < len(count_matvecs) <= 4
     assert float(np.max(np.abs(laplacian(planes, eta, grid) - beta - rhs))) <= 1e-9
@@ -124,7 +120,8 @@ def test_laplacian_operator_is_one_spectral_pass(n, monkeypatch, count_transform
     # of the Hessian planes.
     grid = GridSpec(n, 8)
     rng = np.random.default_rng(150 + n)
-    planes = laplacian_planes(inverse(random_metric(grid, rng)))
+    g = random_metric(grid, rng)
+    planes = laplacian_planes(g.values, 1.0 / det(g))
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
     per_application = []

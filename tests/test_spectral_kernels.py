@@ -10,21 +10,18 @@ only; the tolerance is fixed at 1e-12 of the reference's sup-norm.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from matorus.geometry import (
-    _weight_coefficient_fields,
-    defects,
-    torsion,
-)
+from matorus.geometry import defects, torsion, weight_planes
 from matorus.grid import (
     GridSpec,
     _holo_symbols,
-    coefficient_planes,
     complex_hessian,
+    det,
     hessian_symbol,
     inverse,
 )
@@ -58,6 +55,18 @@ def ref_hessian(values, grid):
         for j in range(n):
             out[..., i, j] = sfft.ifftn(spec * hessian_symbol(grid, i, j))
     return out
+
+
+def ref_planes(coeff):
+    """Planes of sum_ij coeff[..., i, j] d_i d_jbar for Hermitian
+    coefficients, by the rule of the symbols S_ij = Re S_ij + i Im S_ij:
+    Re coeff_ii, then 2 Re coeff_ij and -2 Im coeff_ij for each i < j."""
+    n = coeff.shape[-1]
+    planes = [coeff[..., i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            planes += [2.0 * coeff[..., i, j].real, -2.0 * coeff[..., i, j].imag]
+    return planes
 
 
 def ref_laplacian(ginv, values, grid):
@@ -118,7 +127,7 @@ def test_complex_input_hessian_is_linear(data):
 def test_laplacian_matches_complex_reference(data):
     grid, g, f, v = data
     ginv = inverse(g)
-    planes = laplacian_planes(ginv)
+    planes = laplacian_planes(g.values, 1.0 / det(g))
     lap = laplacian(planes, f, grid)
     assert lap.dtype == np.float64
     assert_close(lap, ref_laplacian(ginv, f, grid))
@@ -126,16 +135,42 @@ def test_laplacian_matches_complex_reference(data):
     assert_close(laplacian(planes, f + 1j * v, grid), want)
 
 
+def test_laplacian_planes_match_the_inverse_metric(data):
+    # The planes of 1/det(g) adj(g) are those of G^-1 with entry [j, i] the
+    # coefficient of d_i d_jbar.
+    _, g, _, _ = data
+    got = laplacian_planes(g.values, 1.0 / det(g))
+    want = ref_planes(np.swapaxes(inverse(g), -1, -2))
+    assert len(got) == len(want)
+    for got_plane, want_plane in zip(got, want):
+        assert_close(got_plane, want_plane)
+
+
 def test_weight_fields_match_levi_civita_contraction(data):
     grid, g, _, _ = data
-    c = _weight_coefficient_fields(g)
-    assert_close(c, ref_weight_fields(g.values, grid.complex_dim))
+    got = weight_planes(g)
+    want = ref_planes(ref_weight_fields(g.values, grid.complex_dim))
+    assert len(got) == len(want)
+    for got_plane, want_plane in zip(got, want):
+        assert_close(got_plane, want_plane)
+
+
+def test_weight_operator_is_the_adjoint_laplacian_of_the_volume_weighted_field(data):
+    # M(v) = (n-1)! Delta_g^*(det(g) v): Gauduchon's operator is the flat
+    # adjoint of the canonical Laplacian.
+    grid, g, _, v = data
+    n = grid.complex_dim
+    got = laplacian_adjoint(weight_planes(g), v, grid)
+    want = math.factorial(n - 1) * laplacian_adjoint(
+        laplacian_planes(g.values, 1.0 / det(g)), det(g) * v, grid
+    )
+    assert_close(got, want)
 
 
 def test_weight_operator_matches_complex_reference(data):
     grid, g, _, v = data
     cfields = ref_weight_fields(g.values, grid.complex_dim)
-    got = laplacian_adjoint(coefficient_planes(cfields), v, grid)
+    got = laplacian_adjoint(weight_planes(g), v, grid)
     assert_close(got, ref_weight_operator(v, cfields, grid))
 
 
@@ -145,7 +180,7 @@ def test_frozen_symbol_is_the_half_spectrum_of_the_full_one(data):
     mean = inverse(g).reshape(-1, n, n).mean(axis=0).T
     full = sum(hessian_symbol(grid, i, j) * mean[i, j] for i in range(n) for j in range(n)).real
     want = np.broadcast_to(full, grid.shape)[..., : N // 2 + 1]
-    assert_close(frozen_symbol(grid, laplacian_planes(inverse(g))), want)
+    assert_close(frozen_symbol(grid, laplacian_planes(g.values, 1.0 / det(g))), want)
 
 
 def test_defects_match_torsion_and_reference_operator(grid8, rng):
@@ -183,7 +218,7 @@ def test_defects_differentiates_the_metric_once_in_three_dimensions(rng, count_t
 def test_weight_operator_apply_is_real_transforms_only(n, rng, count_transforms):
     grid = GridSpec(n, 8)
     g = random_metric(grid, rng)
-    planes = coefficient_planes(_weight_coefficient_fields(g))
+    planes = weight_planes(g)
     count_transforms.clear()
     laplacian_adjoint(planes, np.ones(grid.shape), grid)
     assert count_transforms == {"rfftn": n * n, "irfftn": 1}
@@ -192,7 +227,7 @@ def test_weight_operator_apply_is_real_transforms_only(n, rng, count_transforms)
 def test_real_hessian_and_laplacian_transform_counts(grid8, rng, count_transforms):
     g = random_metric(grid8, rng)
     f = random_trig_field(grid8, rng).values
-    planes = laplacian_planes(inverse(g))
+    planes = laplacian_planes(g.values, 1.0 / det(g))
     count_transforms.clear()
     complex_hessian(f, grid8)
     assert count_transforms == {"rfftn": 1, "irfftn": 4}

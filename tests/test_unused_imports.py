@@ -1,10 +1,14 @@
-"""Every name a module of the package imports is used in that module, and
-every name the package exports exists.
+"""Every name a module of the package imports is used in that module,
+every private helper is used by the package, and every name the package
+exports exists.
 
 Standard library only: each module is parsed with ``ast``, the names its
 import statements bind are collected, and each must be read somewhere in
 the module. A name listed in the module's ``__all__`` is a re-export and
-counts as used; ``from __future__`` imports bind nothing.
+counts as used; ``from __future__`` imports bind nothing. A top-level
+function or class whose name starts with ``_`` must be named by some
+other top-level statement of the package, so a helper that only the
+tests still call is flagged.
 """
 
 import ast
@@ -66,6 +70,60 @@ def test_guard_flags_an_unused_import():
         "    raise ConfigError(os.sep)\n"
     )
     assert unused_imports(source) == ["line 3: GM"]
+
+
+def _referenced_names(node: ast.AST) -> set:
+    """Names read, attributes accessed and names imported under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def orphaned_private_helpers(sources: dict) -> list:
+    """``module: name`` of each top-level ``_`` function or class in
+    ``sources`` (module name -> source) that no other top-level statement
+    of any module names."""
+    statements = [
+        (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
+    ]
+    names = [_referenced_names(stmt) for _, stmt in statements]
+    orphans = []
+    for k, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+            if not any(stmt.name in used for j, used in enumerate(names) if j != k):
+                orphans.append(f"{module}: {stmt.name}")
+    return sorted(orphans)
+
+
+def test_every_private_helper_is_used_by_the_package():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert orphaned_private_helpers(sources) == []
+
+
+def test_guard_flags_an_orphaned_private_helper():
+    sources = {
+        "a.py": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _recursive(k):\n"
+            "    return _recursive(k - 1) if k else 0\n"
+            "class _Orphan:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _used()\n"
+        ),
+        "b.py": "from .a import _imported\n",
+        "c.py": "def _imported():\n    pass\n",
+    }
+    assert orphaned_private_helpers(sources) == ["a.py: _Orphan", "a.py: _recursive"]
 
 
 def test_every_exported_name_resolves():
