@@ -81,6 +81,11 @@ def constraint_integral(
     potential deformation of g; it vanishes exactly when Ric - psi is
     ddbar-exact.
     """
+    return _obstruction(g, psi, omega_G)[0]
+
+
+def _obstruction(g: HermitianField, psi: HermitianField, omega_G: HermitianField) -> tuple:
+    """(``constraint_integral(g, psi, omega_G)``, Ric(omega) - psi)."""
     if g.grid.complex_dim != 2:
         raise GridMismatchError("the prescription pipeline is defined for n=2 only")
     defect = closedness_defect(psi)
@@ -88,7 +93,8 @@ def constraint_integral(
         raise NotClosedError(
             f"psi is not closed: d(psi) coefficient sup-norm {defect:.3e} > {_CLOSED_TOL:.1e}"
         )
-    return wedge_integral(ricci_form(g) - psi, omega_G)
+    diff = ricci_form(g) - psi
+    return wedge_integral(diff, omega_G), diff
 
 
 def _poisson_solve_gauduchon(g_g: HermitianField, rhs: np.ndarray) -> np.ndarray:
@@ -116,13 +122,12 @@ def prescribe_ricci(
     grid = g.grid
     g_g, _, _ = gauduchon_metric(g)
 
-    c = constraint_integral(g, psi, g_g)
+    c, diff = _obstruction(g, psi, g_g)
     if abs(c) > _CONSTRAINT_TOL:
         raise ConstraintViolated(
             f"pairing obstruction {c:.6e} exceeds tolerance {_CONSTRAINT_TOL:.1e}"
         )
 
-    diff = ricci_form(g) - psi
     rhs = 2.0 * np.pi * pair_density(diff, g_g) / det(g_g)
     f_vals = _poisson_solve_gauduchon(g_g, rhs)
     f = ScalarField(grid, f_vals)

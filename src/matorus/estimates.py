@@ -130,7 +130,6 @@ def sweep(
     from t = 0.
 
     Solver failures are recorded per entry without aborting the sweep.
-    ``MA_THREADS`` sets only the FFT workers inside each solve.
     """
     config = config or SolverConfig()
     g = g.as_metric()

@@ -36,46 +36,76 @@ Fields are immutable after construction; all pointwise kernels are pure
 and closed form. ``_adjugate`` is the one cofactor kernel (``inverse``,
 the coefficient planes of ``linsolve.laplacian_planes``, the n=2 wedge
 pairing).
-The FFT backend (scipy.fft) keeps an internal plan cache that is safe for
-concurrent read-only use; the worker count is taken from the MA_THREADS
-environment variable.
+Every transform is SciPy's compiled pocketfft kernel, the extension
+``scipy.fft`` itself calls, loaded from its file (``_load_pocketfft``)
+without importing ``scipy.fft``, whose import loads ``scipy.special`` and
+``numpy.f2py``. The wrappers pass the arguments ``scipy.fft``'s n-d
+transforms pass (every axis, no normalization forward and 1/N inverse,
+one thread), so the results are those of ``scipy.fft`` bit for bit, with
+none of its per-call dispatch.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .errors import GridMismatchError, NotPositiveError
 
 HERMITIAN_RTOL = 1e-13
 
 
-def _workers() -> int:
+def _load_pocketfft():
+    """SciPy's compiled pocketfft extension (``scipy/fft/_pocketfft/
+    pypocketfft``), loaded from its file; ``find_spec`` locates the scipy
+    package without importing it. Without the file, ImportError names the
+    directories looked in and the scipy version."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else ()
+    where = [os.path.join(root, "fft", "_pocketfft") for root in roots]
+    name = "scipy.fft._pocketfft.pypocketfft"
+    for d in where:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(d, "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader)
+                )
+                loader.exec_module(module)
+                return module
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
-        return max(1, int(os.environ.get("MA_THREADS", "1")))
-    except ValueError:
-        return 1
+        found = f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        found = "no scipy installed"
+    raise ImportError(f"scipy's pocketfft kernel (pypocketfft) not found in {where} ({found})")
 
 
+_pocketfft = _load_pocketfft()
+
+
+# Every axis (None), inorm 0 forward and 2 (divide by N) inverse, one thread.
 def _fftn(a):
-    return _sfft.fftn(a, workers=_workers())
+    return _pocketfft.c2c(a, None, True, 0, None, 1)
 
 
 def _ifftn(a):
-    return _sfft.ifftn(a, workers=_workers())
+    return _pocketfft.c2c(a, None, False, 2, None, 1)
 
 
 def _rfftn(a):
-    return _sfft.rfftn(a, workers=_workers())
+    return _pocketfft.r2c(a, None, True, 0, None, 1)
 
 
 def _irfftn(a, shape):
-    return _sfft.irfftn(a, s=shape, workers=_workers())
+    return _pocketfft.c2r(a, None, shape[-1], False, 2, None, 1)
 
 
 @dataclass(frozen=True)

@@ -233,8 +233,17 @@ def newton_solve(
         del hessian
         alpha = 1.0
         while True:
-            trial = gp + alpha * h_eta
-            emin_trial = float(_eigmin_grid(trial, n).min())
+            # The first trial that is not finite (an entry or its smallest
+            # eigenvalue) ends the search instead of a warning: halving
+            # down to the smallest step shrinks it by 2^-33 at most.
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = gp + alpha * h_eta
+                emin_trial = float(_eigmin_grid(trial, n).min())
+            if not (math.isfinite(emin_trial) and np.isfinite(trial).all()):
+                raise PositivityLost(
+                    "line search trial metric is not finite "
+                    f"(min eigenvalue {emin_trial:.3e} at step {alpha:.1e})"
+                )
             if emin_trial > 0.1 * emin_cur:
                 break
             alpha *= _DAMPING

@@ -81,30 +81,30 @@ def wrap_gmres_operator(monkeypatch, wrap):
     monkeypatch.setattr(linsolve, "_gmres", lambda matvec, *args: real(wrap(matvec), *args))
 
 
-TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn")
-
-
 @pytest.fixture
 def count_transforms(monkeypatch) -> Counter:
-    """Replace ``grid._sfft`` by its six transform entry points, each
-    counted; the returned Counter maps a function name to its calls."""
+    """Replace ``grid._pocketfft`` by its three kernels, each call counted
+    under the name of the transform it makes: ``c2c`` forward as
+    ``fftn``, ``c2c`` inverse as ``ifftn``, ``r2c`` as ``rfftn`` and
+    ``c2r`` as ``irfftn``; the returned Counter maps a name to its calls."""
     from matorus import grid
 
     counts = Counter()
-    real = grid._sfft
+    real = grid._pocketfft
 
-    def counted(name):
-        fn = getattr(real, name)
+    def c2c(a, axes, forward, *args):
+        counts["fftn" if forward else "ifftn"] += 1
+        return real.c2c(a, axes, forward, *args)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def r2c(*args):
+        counts["rfftn"] += 1
+        return real.r2c(*args)
 
-        return wrapper
+    def c2r(*args):
+        counts["irfftn"] += 1
+        return real.c2r(*args)
 
-    monkeypatch.setattr(
-        grid, "_sfft", SimpleNamespace(**{name: counted(name) for name in TRANSFORMS})
-    )
+    monkeypatch.setattr(grid, "_pocketfft", SimpleNamespace(c2c=c2c, r2c=r2c, c2r=c2r))
     return counts
 
 

@@ -117,6 +117,22 @@ class TestPrescribe:
         prescribe_ricci(g, manufactured_psi(grid, g, h.values))
         assert len(calls) == 1
 
+    def test_ricci_form_of_g_computed_once(self, background, rng, monkeypatch):
+        # Once for Ric(omega) - psi, shared by the pairing obstruction and
+        # the Poisson right-hand side, and once for the solution metric.
+        from matorus import chern
+
+        grid, g, _ = background
+        h = random_trig_field(grid, rng, amplitude=0.1, bandwidth=1)
+        psi = manufactured_psi(grid, g, h.values)
+        calls = []
+        monkeypatch.setattr(
+            chern, "ricci_form", lambda metric: calls.append(metric) or ricci_form(metric)
+        )
+        prescribe_ricci(g, psi)
+        assert len(calls) == 2
+        assert calls[0] is g
+
     def test_flat_background_small_target(self, grid8, rng):
         g = identity_metric(grid8)
         h = random_trig_field(grid8, rng, amplitude=0.1, bandwidth=1)

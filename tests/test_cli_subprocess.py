@@ -25,9 +25,7 @@ def run_child(tmp_path, task, cfg, blas_threads="1"):
     path = tmp_path / f"{task}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    env = dict(
-        os.environ, MA_THREADS="1", OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads
-    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )

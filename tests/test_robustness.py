@@ -1,4 +1,4 @@
-"""Error-path, concurrency, and dimension-3 coverage."""
+"""Error-path and dimension-3 coverage."""
 
 import json
 
@@ -13,7 +13,7 @@ from matorus.errors import (
     GauduchonKernelError,
     NotPositiveError,
 )
-from matorus.estimates import exp_moment_constant, sweep
+from matorus.estimates import exp_moment_constant
 from matorus.fieldio import deserialize, serialize
 from matorus.geometry import _finish_weight
 from matorus.grid import (
@@ -75,17 +75,6 @@ def test_verify_task_dumps_failure_artifacts(tmp_path, monkeypatch):
     assert artifact["check"] == "trace_inequality"
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["failures"] == 1
-
-
-def test_ma_threads_does_not_change_results(grid8, rng, monkeypatch):
-    g = identity_metric(grid8)
-    F = random_trig_field(grid8, rng, amplitude=0.4, bandwidth=1)
-    serial = sweep(g, F, [0.5, 1.0])
-    monkeypatch.setenv("MA_THREADS", "2")
-    threaded = sweep(g, F, [0.5, 1.0])
-    for a, b in zip(serial, threaded):
-        assert a.result.b == pytest.approx(b.result.b, abs=1e-12)
-        assert np.max(np.abs(a.result.phi.values - b.result.phi.values)) < 1e-11
 
 
 def test_cli_explicit_field_files(tmp_path, rng):

@@ -358,6 +358,24 @@ class TestContinuity:
         with pytest.raises(ContinuationStalled):
             continuity_solve(g, F, cfg)
 
+    def test_non_finite_trial_ends_the_line_search(self, grid8, monkeypatch):
+        # The first Newton correction of a 1e300 right-hand side overflows
+        # the smallest eigenvalue of every trial, so each continuation
+        # attempt ends at its first trial. A RuntimeWarning is a test error.
+        from matorus import solver
+
+        trials = []
+        real = solver._eigmin_grid
+        monkeypatch.setattr(solver, "_eigmin_grid", lambda m, n: trials.append(1) or real(m, n))
+        F = sample(grid8, lambda c: 1e300 * np.cos(2 * np.pi * c["x1"]))
+        with pytest.raises(ContinuationStalled) as exc:
+            continuity_solve(identity_metric(grid8), F)
+        rejected = exc.value.rejected
+        assert [code for _, code in rejected] == ["positivity_lost"] * len(rejected)
+        assert "not finite" in str(exc.value)
+        # One admissibility check of the start and one trial per attempt.
+        assert len(trials) == 2 * len(rejected)
+
     def test_trace_records_path(self, grid8, rng):
         g = identity_metric(grid8)
         F = random_trig_field(grid8, rng, amplitude=0.5, bandwidth=1)

@@ -2,7 +2,10 @@
 ``linsolve.solve_constrained``, the span it counts the operator layer
 by. The Krylov loop, ``linsolve._gmres``, is not hooked yet: the tracer
 looks for a ``spla`` (scipy.sparse.linalg) binding, which no module has
-any more, and reports it missing, so ``linsolve.matvecs`` reads 0.
+any more, and reports it missing, so ``linsolve.matvecs`` reads 0. The
+transforms are not hooked either: the tracer proxies a ``grid._sfft``
+(``scipy.fft``) binding, which ``grid`` no longer has since it calls the
+pocketfft kernel directly, so ``grid.fft.*`` reads 0.
 
 The tracer rebinds module attributes, so it runs in a child process and
 nothing leaks into the other tests; ``-B`` keeps the child from writing
@@ -41,7 +44,7 @@ print(json.dumps({"missing": t.missing, "spans": sorted({s[2] for s in t.spans})
 
 
 def test_tracer_hooks_see_the_operator_layer(tmp_path):
-    env = dict(os.environ, MA_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
@@ -53,6 +56,7 @@ def test_tracer_hooks_see_the_operator_layer(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     # None exists in the package any more; the tracer reports them missing.
     assert set(out["missing"]) <= {
+        "grid.fft",
         "geometry.spla",
         "linsolve.spla",
         "estimates.ThreadPoolExecutor",
