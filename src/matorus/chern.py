@@ -39,6 +39,7 @@ from .geometry import (
 from .grid import (
     HermitianField,
     ScalarField,
+    _planes,
     complex_hessian,
     det,
     integrate,
@@ -101,7 +102,7 @@ def _poisson_solve_gauduchon(g_g: HermitianField, rhs: np.ndarray) -> np.ndarray
     """Solve laplacian_G f = rhs in the mean-zero gauge of g_G's measure."""
     f, _, _ = solve_constrained(
         laplacian,
-        laplacian_planes(g_g.values, 1.0 / det(g_g)),
+        laplacian_planes(_planes(g_g.values), 1.0 / det(g_g)),
         rhs=rhs,
         grid=g_g.grid,
         rtol=_POISSON_RTOL,

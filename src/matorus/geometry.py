@@ -63,17 +63,17 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    _adjugate,
     _fftn,
     _holo_symbols,
     _ifftn,
+    _planes,
     complex_hessian,
     constant_field,
     det,
     integrate,
     inverse,
 )
-from .linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
+from .linsolve import _contract, laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
 
 # Conformal-weight solve: Krylov rtol and iteration cap, and the max|M(v)|/max|v| v must reach.
 _WEIGHT_RTOL = 1e-13
@@ -137,7 +137,7 @@ class MetricDefects:
 def weight_planes(g: HermitianField) -> tuple:
     """Coefficient planes of the weight operator M(v) = d dbar (v omega^{n-1})
     of g, the planes of (n-1)! adj(g), for ``laplacian_adjoint``."""
-    return laplacian_planes(g.values, math.factorial(g.grid.complex_dim - 1))
+    return laplacian_planes(_planes(g.values), math.factorial(g.grid.complex_dim - 1))
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
@@ -171,7 +171,7 @@ def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
     """Laplace operator of the canonical connection, trace(G^-1 Hess f)."""
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    planes = laplacian_planes(g.values, 1.0 / det(g))
+    planes = laplacian_planes(_planes(g.values), 1.0 / det(g))
     return ScalarField(f.grid, laplacian(planes, f.values, f.grid))
 
 
@@ -277,7 +277,7 @@ def pair_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """
     if a.grid.complex_dim != 2:
         raise GridMismatchError("pair_density is defined for n=2 only")
-    return np.einsum("...ij,...ji->...", _adjugate(a.values), b.values).real
+    return _contract(laplacian_planes(_planes(a.values), 1), _planes(b.values), a.grid)
 
 
 def wedge_integral(a: HermitianField, b: HermitianField) -> float:

@@ -29,13 +29,15 @@ which keep the half spectrum whose last axis is cut to N/2 + 1), complex
 fields with complex-to-complex ones. The Hessian symbols are cached once
 per grid as real half-spectrum planes (``real_hessian_symbols``), built
 on first use; every second-order operator with Hermitian coefficients
-acts on real fields through them and the matching real coefficient
-planes, which ``linsolve.laplacian_planes`` alone builds.
+acts on real fields through them and the coefficient planes of
+``linsolve.laplacian_planes``, the one builder.
 
-Fields are immutable after construction; all pointwise kernels are pure
-and closed form. ``_adjugate`` is the one cofactor kernel (``inverse``,
-the coefficient planes of ``linsolve.laplacian_planes``, the n=2 wedge
-pairing).
+Fields are immutable after construction. The pointwise math of a
+Hermitian field m takes one format, its n^2 real planes in the same
+order (``_planes`` views them, ``_hessian_matrix`` assembles m): the
+planes of adj(m) (``_cofactors``, behind ``inverse``, the builder and
+the n=2 wedge pairing), ``_det`` and, but at n=3, ``_eigmin_grid`` are
+closed forms in real arithmetic.
 Every transform is SciPy's compiled pocketfft kernel, the extension
 ``scipy.fft`` itself calls, loaded from its file (``_load_pocketfft``)
 without importing ``scipy.fft``, whose import loads ``scipy.special`` and
@@ -49,9 +51,11 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -271,12 +275,6 @@ def constant_field(grid: GridSpec, value: float = 0.0) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, value, dtype=np.float64))
 
 
-def from_function(grid: GridSpec, fn) -> ScalarField:
-    """Sample fn(coords) on the grid; fn gets the coordinates() dict."""
-    vals = np.broadcast_to(fn(grid.coordinates()), grid.shape).copy()
-    return ScalarField(grid, vals)
-
-
 @dataclass(frozen=True)
 class HermitianField:
     """Field of n x n Hermitian matrices (metrics and real (1,1)-forms).
@@ -341,7 +339,7 @@ class HermitianField:
             if np.log(lo) + 1 < n * np.log(emin) and n * np.log(n * vmax) < np.log(hi) - 1:
                 return
             with np.errstate(over="ignore", invalid="ignore"):
-                d = _det(out).real
+                d = _det(_planes(out))
                 ok = lo <= d.min() <= d.max() <= hi  # False for NaN too
             if not ok:
                 point = tuple(map(int, np.unravel_index(np.argmin((d >= lo) & (d <= hi)), d.shape)))
@@ -377,67 +375,74 @@ def identity_metric(grid: GridSpec) -> HermitianField:
     return HermitianField(grid, v, metric=True)
 
 
-def _det2(m):
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+def _planes(m: np.ndarray) -> tuple:
+    """Views of the real planes of a Hermitian matrix field m, in the order
+    of ``real_hessian_symbols``: m_ii for each i, then Re m_ij and Im m_ij
+    for each i < j. The converse of ``_hessian_matrix``."""
+    n = m.shape[-1]
+    planes = [m[..., i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            planes += [m[..., i, j].real, m[..., i, j].imag]
+    return tuple(planes)
 
 
-def _det3(m):
+def _cofactors(p: tuple) -> tuple:
+    """The planes of adj(m), adj(m) m = det(m) I, from the planes ``p`` of
+    a Hermitian 2 x 2 or 3 x 3 matrix field m; adj(m) is Hermitian too."""
+    if len(p) == 4:
+        return p[1], p[0], -p[2], -p[3]
+    # m01 = a + ib, m02 = c + id, m12 = e + if
+    m00, m11, m22, a, b, c, d, e, f = p
     return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+        m11 * m22 - (e * e + f * f),
+        m00 * m22 - (c * c + d * d),
+        m00 * m11 - (a * a + b * b),
+        e * c + f * d - m22 * a,
+        e * d - f * c - m22 * b,
+        a * e - b * f - m11 * c,
+        a * f + b * e - m11 * d,
+        a * c + b * d - m00 * e,
+        a * d - b * c - m00 * f,
     )
 
 
-def _det(m):
-    return _det2(m) if m.shape[-1] == 2 else _det3(m)
+def _det(p: tuple) -> np.ndarray:
+    """det m from the planes ``p`` of a Hermitian matrix field m, expanded
+    along the first row: m_00 adj_00 + sum_j Re(m_0j conj(adj_0j))."""
+    c, n = _cofactors(p), math.isqrt(len(p))
+    out = p[0] * c[0]
+    for k in range(n, 3 * n - 2, 2):
+        out += p[k] * c[k] + p[k + 1] * c[k + 1]
+    return out
 
 
 def det(h: HermitianField) -> np.ndarray:
     """Pointwise determinant (real for Hermitian matrices)."""
-    return _det(h.values).real
-
-
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    """Pointwise adjugate of Hermitian 2 x 2 or 3 x 3 matrices,
-    adj(m) m = det(m) I. At n=3 the lower cofactors are the conjugates of
-    the upper ones, since the adjugate of a Hermitian matrix is Hermitian.
-    """
-    adj = np.empty_like(m)
-    if m.shape[-1] == 2:
-        adj[..., 0, 0] = m[..., 1, 1]
-        adj[..., 1, 1] = m[..., 0, 0]
-        adj[..., 0, 1] = -m[..., 0, 1]
-        adj[..., 1, 0] = -m[..., 1, 0]
-        return adj
-    for i in range(3):
-        for j in range(i, 3):
-            r, s, p, q = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
-            adj[..., i, j] = m[..., r, p] * m[..., s, q] - m[..., r, q] * m[..., s, p]
-            if i != j:
-                adj[..., j, i] = np.conj(adj[..., i, j])
-    return adj
+    return _det(_planes(h.values))
 
 
 def inverse(h: HermitianField) -> np.ndarray:
     """Pointwise inverse adj(h) / det(h), returned as a raw array."""
-    out = _adjugate(h.values)
-    out /= _det(h.values)[..., None, None]
+    p = _planes(h.values)
+    out = _hessian_matrix(_cofactors(p))
+    out /= _det(p)[..., None, None]
     return out
 
 
-def _eigmin_grid(mats: np.ndarray, n: int) -> np.ndarray:
-    """Pointwise smallest eigenvalue of a grid of Hermitian n x n matrices."""
-    if n == 2:
-        tr = (mats[..., 0, 0] + mats[..., 1, 1]).real
-        disc = (mats[..., 0, 0] - mats[..., 1, 1]).real ** 2 + 4.0 * np.abs(mats[..., 0, 1]) ** 2
-        return 0.5 * (tr - np.sqrt(np.maximum(disc, 0.0)))
-    return np.linalg.eigvalsh(mats)[..., 0]
+def _eigmin_grid(p: tuple) -> np.ndarray:
+    """Pointwise smallest eigenvalue of the Hermitian matrix field with
+    planes ``p``; at n=2 in closed form, its discriminant a sum of squares."""
+    if len(p) == 4:
+        m00, m11, a, b = p
+        return 0.5 * (m00 + m11 - np.sqrt((m00 - m11) ** 2 + 4.0 * (a * a + b * b)))
+    return np.linalg.eigvalsh(_hessian_matrix(p))[..., 0]
 
 
 def min_eigenvalue(h: HermitianField) -> tuple:
     """Smallest eigenvalue over the grid and the point where it occurs."""
-    emin = _eigmin_grid(h.values, h.grid.complex_dim)
+    v = h.values  # at n=3 eigvalsh reads the matrices in place
+    emin = _eigmin_grid(_planes(v)) if v.shape[-1] == 2 else np.linalg.eigvalsh(v)[..., 0]
     point = tuple(map(int, np.unravel_index(np.argmin(emin), emin.shape)))
     return float(emin[point]), point
 
@@ -478,7 +483,7 @@ def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     if np.iscomplexobj(values):
         return complex_hessian(values.real, grid) + 1j * complex_hessian(values.imag, grid)
-    return _hessian_matrix(_hessian_planes(_rfftn(values), grid), grid)
+    return _hessian_matrix(_hessian_planes(_rfftn(values), grid))
 
 
 def _hessian_planes(spec: np.ndarray, grid: GridSpec):
@@ -488,23 +493,20 @@ def _hessian_planes(spec: np.ndarray, grid: GridSpec):
     return (_irfftn(symbol * spec, grid.shape) for symbol in real_hessian_symbols(grid))
 
 
-def _hessian_matrix(planes, grid: GridSpec) -> np.ndarray:
-    """The exactly Hermitian matrix field d_i d_jbar f, shape grid.shape +
-    (n, n), from the real planes of f in the order of
-    ``real_hessian_symbols``; ``planes`` is iterated once."""
-    n, shape = grid.complex_dim, grid.shape
-    out = np.empty(shape + (n, n), dtype=np.complex128)
+def _hessian_matrix(planes) -> np.ndarray:
+    """The exactly Hermitian matrix field with the given real planes, in
+    the order of ``real_hessian_symbols``, shape grid.shape + (n, n): the
+    converse of ``_planes``. ``planes`` is iterated once; n is half the
+    number of grid axes of its planes."""
     planes = iter(planes)
-    for i in range(n):
-        out[..., i, i] = next(planes)
+    first = next(planes)
+    n = first.ndim // 2
+    out = np.zeros(first.shape + (n, n), dtype=np.complex128)
+    for view, plane in zip(_planes(out), chain([first], planes)):
+        view[...] = plane
     for i in range(n):
         for j in range(i + 1, n):
-            re = next(planes)
-            im = next(planes)
-            out[..., i, j].real = re
-            out[..., i, j].imag = im
-            out[..., j, i].real = re
-            out[..., j, i].imag = -im
+            np.conjugate(out[..., i, j], out=out[..., j, i])
     return out
 
 

@@ -2,9 +2,9 @@
 coefficients and a bordered Krylov solve for them.
 
 An operator is described once, by the real planes P_k of scale * adj(m)
-for a Hermitian matrix field m (``laplacian_planes``, the one builder),
-which match the half-spectrum Hessian symbols S_k cached per grid
-(``grid.real_hessian_symbols``). Two kernels take the same planes:
+(``laplacian_planes``, the one builder, from the planes of the Hermitian
+field m), which match the half-spectrum Hessian symbols S_k cached per
+grid (``grid.real_hessian_symbols``). Two kernels take the same planes:
 
     laplacian(P, f)         = sum_k P_k * irfftn(S_k * rfftn(f)),
     laplacian_adjoint(P, v) = irfftn(sum_k S_k * rfftn(P_k * v)).
@@ -76,7 +76,7 @@ import numpy as np
 from .errors import LinearSolverStalled
 from .grid import (
     GridSpec,
-    _adjugate,
+    _cofactors,
     _hessian_planes,
     _irfftn,
     _rfftn,
@@ -86,17 +86,14 @@ from .grid import (
 _RESTART = 30  # Arnoldi steps per GMRES cycle, the inner_m default of LGMRES
 
 
-def laplacian_planes(m: np.ndarray, scale) -> tuple:
-    """Real planes of sum_ij A[j, i] d_i d_jbar, A = scale * adj(m), for a
-    Hermitian matrix field ``m`` and a real number or field ``scale``, in
-    the order of ``real_hessian_symbols``: A_ii for each i, then 2 Re A_ij
-    and 2 Im A_ij for each i < j. Scale 1 / det m gives trace(m^-1 Hess)."""
-    adj, n = _adjugate(m), m.shape[-1]
-    planes = [scale * adj[..., i, i].real for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            planes += [2.0 * scale * adj[..., i, j].real, 2.0 * scale * adj[..., i, j].imag]
-    return tuple(planes)
+def laplacian_planes(p: tuple, scale) -> tuple:
+    """Real planes of sum_ij A[j, i] d_i d_jbar, A = scale * adj(m), for the
+    planes ``p`` of a Hermitian matrix field m and a real number or field
+    ``scale``: those of adj(m) (``grid._cofactors``) times scale, A_ii,
+    and times 2 scale off the diagonal, 2 Re A_ij and 2 Im A_ij. Scale
+    1 / det m gives trace(m^-1 Hess)."""
+    n = math.isqrt(len(p))
+    return tuple((scale if k < n else 2.0 * scale) * c for k, c in enumerate(_cofactors(p)))
 
 
 def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -199,17 +196,22 @@ def solve_constrained(
     return (_irfftn(eta, shape) if fused else eta), beta, hessian
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, maxiter: int) -> np.ndarray:
     """x with |b - matvec(x)| <= rtol |b| by GMRES(_RESTART) (Saad and
     Schultz, SIAM J. Sci. Stat. Comput. 7, 1986). Each cycle starts from
     its true residual, the first at x0 itself, which is returned if it
-    meets the tolerance, and stops on the Givens estimate of the residual."""
+    meets the tolerance, and stops on the Givens estimate of the residual.
+    A start residual that is not finite (an overflow, which raises no
+    warning here) ends the solve with LinearSolverStalled."""
     tol, x = rtol * math.sqrt(_dot(b, b)), x0
     for _ in range(maxiter):
         r = b - matvec(x)
         g = [math.sqrt(_dot(r, r))]
         if g[0] <= tol:
             return x
+        if not math.isfinite(g[0]):
+            raise LinearSolverStalled(f"GMRES start residual {g[0]} is not finite")
         r /= g[0]
         basis, columns, rotations = [r], [], []
         while True:

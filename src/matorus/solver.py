@@ -11,10 +11,10 @@ to the canonical Laplacian of the current solution metric; each step
 solves the bordered system [laplacian, -1; mean, 0] for a correction of
 zero grid mean and the change of b, by ``linsolve.solve_constrained``
 with the ``laplacian`` kernel and the planes of adj(g') / det g' of the
-solution metric g' (``linsolve.laplacian_planes``). That solve also
-returns the Hessian planes of the correction, from its preconditioner's
-last pass, so the step updates the solution metric without
-differentiating the correction again. The equation is
+solution metric g' (``linsolve.laplacian_planes``). Newton holds g' as
+its n^2 real planes (``grid._planes``), and the solve also returns the
+Hessian planes of the correction, from its preconditioner's last pass,
+so each line-search trial adds the two plane by plane. The equation is
 invariant under constant shifts of phi, so no correction is spent on
 the constant of the start; on output phi is re-normalized to sup phi =
 0, which leaves b unchanged. That is the only normalization: the
@@ -91,7 +91,7 @@ from .grid import (
     ScalarField,
     _det,
     _eigmin_grid,
-    _hessian_matrix,
+    _planes,
     complex_hessian,
     det,
     resample,
@@ -170,17 +170,16 @@ def newton_solve(
 ) -> SolveResult:
     """Newton iteration for (phi, b) at a fixed right-hand side.
 
-    Each iterate takes one determinant, for both its log residual and
-    the scale 1 / det of its Laplacian's planes. Each correction has zero
-    grid mean; its complex Hessian is assembled from the planes
-    ``solve_constrained`` returns with it, and the line search's accepted
-    trial is the next iterate.
+    The iterate g + Hess phi is held as its planes. Each takes one
+    determinant, for both its log residual and the scale 1 / det of its
+    Laplacian's planes. Each correction has zero grid mean; its Hessian
+    planes come back from ``solve_constrained`` with it, and the line
+    search's accepted trial is the next iterate.
     The returned phi is shifted to sup phi = 0, which leaves the equation
     and b unchanged.
     """
     config = config or SolverConfig()
     grid = g.grid
-    n = grid.complex_dim
     g = g.as_metric()
 
     if initial is None:
@@ -191,19 +190,18 @@ def newton_solve(
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
 
     logdet_g = np.log(det(g))
-    gp = g.values + complex_hessian(phi, grid)
-    emin_cur = float(_eigmin_grid(gp, n).min())
+    gp = [a + b for a, b in zip(_planes(g.values), _planes(complex_hessian(phi, grid)))]
+    emin_cur = float(_eigmin_grid(gp).min())
     if not emin_cur > 0.0:
         raise NotPositiveError(
             f"initial iterate is not positive-admissible: min eigenvalue {emin_cur:.3e}"
         )
 
-    # gp stays exactly Hermitian (symmetrized g, exact complex_hessian, real
-    # steps) and positive (the line search), so it is not validated again.
+    # gp, the planes of g + Hess phi, stays positive (the line search), so
+    # it is not validated again.
     history = []
     for _ in range(config.max_newton_iters):
-        # A copy, not a view that would keep the complex determinant alive.
-        det_gp = _det(gp).real.copy()
+        det_gp = _det(gp)
         residual = np.log(det_gp) - logdet_g - F_target.values - float(b)
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
@@ -228,18 +226,15 @@ def newton_solve(
             maxiter=_LINEAR_MAXITER,
         )
 
-        h_eta = _hessian_matrix(hessian, grid)
-        # Freed now, not when the next solve returns (19 MB at n=3 N=8).
-        del hessian
         alpha = 1.0
         while True:
             # The first trial that is not finite (an entry or its smallest
             # eigenvalue) ends the search instead of a warning: halving
             # down to the smallest step shrinks it by 2^-33 at most.
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = gp + alpha * h_eta
-                emin_trial = float(_eigmin_grid(trial, n).min())
-            if not (math.isfinite(emin_trial) and np.isfinite(trial).all()):
+                trial = [p + alpha * h for p, h in zip(gp, hessian)]
+                emin_trial = float(_eigmin_grid(trial).min())
+            if not (math.isfinite(emin_trial) and all(np.isfinite(p).all() for p in trial)):
                 raise PositivityLost(
                     "line search trial metric is not finite "
                     f"(min eigenvalue {emin_trial:.3e} at step {alpha:.1e})"
@@ -256,7 +251,7 @@ def newton_solve(
         b = float(b) + alpha * db
         gp = trial
         emin_cur = emin_trial
-        del h_eta  # freed before the next solve, not when its successor is built
+        del hessian  # freed before the next solve, not when it returns
 
     raise MaxItersExceeded(
         f"Newton did not reach tolerance {config.newton_tol:.1e} in "
@@ -281,7 +276,7 @@ def continuity_solve(
     else:
         phi0, b = initial
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
-        emin0 = float(_eigmin_grid(g.values + complex_hessian(phi, grid), grid.complex_dim).min())
+        emin0 = float(_eigmin_grid(_planes(g.values + complex_hessian(phi, grid))).min())
         if emin0 <= 0.0:
             raise NotPositiveError(
                 f"initial iterate is not positive-admissible: min eigenvalue {emin0:.3e}"

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matorus.grid import GridSpec, HermitianField, ScalarField, from_function, identity_metric
+from matorus.grid import GridSpec, HermitianField, ScalarField, identity_metric
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def rng():
 
 def sample(grid: GridSpec, fn) -> ScalarField:
     """Sample fn(coords dict) onto the grid as a ScalarField."""
-    return from_function(grid, fn)
+    return ScalarField(grid, np.broadcast_to(fn(grid.coordinates()), grid.shape).copy())
 
 
 def conformal_metric(grid: GridSpec, h: ScalarField) -> HermitianField:

@@ -468,6 +468,30 @@ def test_gauduchon_output_defect_at_n3_matches_the_output_metric(tmp_path):
     assert abs(summary["output_gauduchon_defect"] - expected) <= 1e-12 * m_one
 
 
+def test_overflowing_weight_solve_stops_at_its_first_residual(tmp_path, capsys, monkeypatch):
+    # The weight planes of this admitted metric reach 2.6e204, so the
+    # Krylov solve's first true residual is not finite: the task ends
+    # after M(1) and one application in the solve, with no warning,
+    # instead of running 60 GMRES cycles (1,830 applications at most).
+    from matorus import geometry
+
+    applications = []
+    laplacian_adjoint = geometry.laplacian_adjoint
+
+    def counted_apply(planes, values, grid):
+        applications.append(1)
+        return laplacian_adjoint(planes, values, grid)
+
+    monkeypatch.setattr(geometry, "laplacian_adjoint", counted_apply)
+    grid = {"complex_dim": 3, "points_per_axis": 8}
+    cfg = _gauduchon_config(tmp_path, h="235*cos(2*pi*x1)", grid=grid)
+    assert run_cli(["gauduchon", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+    assert err["type"] == "linear_solver_stalled"
+    assert len(applications) <= 2
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_gauduchon_runs_repeat_bytewise(tmp_path):
     cfg = _gauduchon_config(tmp_path)
     for out in ("a", "b"):

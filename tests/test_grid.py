@@ -7,6 +7,10 @@ from matorus.grid import (
     GridSpec,
     HermitianField,
     ScalarField,
+    _cofactors,
+    _det,
+    _hessian_matrix,
+    _planes,
     complex_hessian,
     constant_field,
     d_antiholo,
@@ -229,6 +233,27 @@ def test_closed_form_inverse_and_det(rng):
         err = np.max(np.abs(inverse(h) - want), axis=(-2, -1))
         bound = 50 * np.finfo(float).eps * 1e3**n / np.prod(lam, axis=-1)
         assert np.all(err <= bound * np.max(np.abs(want), axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_planes_kernels_on_indefinite_fields(n):
+    # The cofactors and the determinant are polynomials in the planes, so
+    # they hold on fields that are not positive, such as the Ric - psi
+    # whose cofactors the n=2 pairing takes.
+    grid = GridSpec(n, 8)
+    rng = np.random.default_rng(404 + n)
+    shape = grid.shape + (n, n)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = a + np.conj(np.swapaxes(a, -1, -2))
+    eig = np.linalg.eigvalsh(m)
+    assert ((eig[..., 0] < 0) & (eig[..., -1] > 0)).mean() > 0.5
+    p = _planes(m)
+    d = _det(p)
+    want = np.linalg.det(m).real
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(d - want))) <= 1e-12 * scale
+    err = _hessian_matrix(_cofactors(p)) @ m - d[..., None, None] * np.eye(n)
+    assert float(np.max(np.abs(err))) <= 1e-12 * scale
 
 
 def test_fields_are_immutable(grid8):
