@@ -19,6 +19,9 @@ Poisson right-hand side is fixed by requiring the manufactured case
 psi = Ric(omega) - (1/2pi) ddbar h to recover f = h - mean(h) exactly:
 
     laplacian_G f = 2 pi * pair_density(Ric - psi, g_G) / det(g_G).
+
+One pass of ``grid._adjugate`` on g_G gives that pairing, det(g_G), the
+planes of laplacian_G and the measure det(g_G) whose mean-zero gauge f takes.
 """
 
 from __future__ import annotations
@@ -32,20 +35,18 @@ from .geometry import (
     antisymmetric_pairs,
     form_norm_sq,
     gauduchon_metric,
-    pair_density,
     ricci_form,
     wedge_integral,
 )
 from .grid import (
     HermitianField,
     ScalarField,
+    _adjugate,
     _planes,
     complex_hessian,
-    det,
     integrate,
-    measure_weights,
 )
-from .linsolve import laplacian, laplacian_planes, solve_constrained
+from .linsolve import _contract, laplacian, laplacian_planes, solve_constrained
 from .solver import SolverConfig, SolveResult, continuity_solve
 
 # Largest sup|d(psi)| accepted as closed and largest pairing accepted as zero.
@@ -82,11 +83,11 @@ def constraint_integral(
     potential deformation of g; it vanishes exactly when Ric - psi is
     ddbar-exact.
     """
-    return _obstruction(g, psi, omega_G)[0]
+    return wedge_integral(_ricci_defect(g, psi), omega_G)
 
 
-def _obstruction(g: HermitianField, psi: HermitianField, omega_G: HermitianField) -> tuple:
-    """(``constraint_integral(g, psi, omega_G)``, Ric(omega) - psi)."""
+def _ricci_defect(g: HermitianField, psi: HermitianField) -> HermitianField:
+    """Ric(omega) - psi, for n = 2 and a closed psi."""
     if g.grid.complex_dim != 2:
         raise GridMismatchError("the prescription pipeline is defined for n=2 only")
     defect = closedness_defect(psi)
@@ -94,22 +95,7 @@ def _obstruction(g: HermitianField, psi: HermitianField, omega_G: HermitianField
         raise NotClosedError(
             f"psi is not closed: d(psi) coefficient sup-norm {defect:.3e} > {_CLOSED_TOL:.1e}"
         )
-    diff = ricci_form(g) - psi
-    return wedge_integral(diff, omega_G), diff
-
-
-def _poisson_solve_gauduchon(g_g: HermitianField, rhs: np.ndarray) -> np.ndarray:
-    """Solve laplacian_G f = rhs in the mean-zero gauge of g_G's measure."""
-    f, _, _ = solve_constrained(
-        laplacian,
-        laplacian_planes(_planes(g_g.values), 1.0 / det(g_g)),
-        rhs=rhs,
-        grid=g_g.grid,
-        rtol=_POISSON_RTOL,
-        maxiter=_POISSON_MAXITER,
-    )
-    w = measure_weights(g_g)
-    return f - (w * f).sum()
+    return ricci_form(g) - psi
 
 
 def prescribe_ricci(
@@ -123,20 +109,32 @@ def prescribe_ricci(
     grid = g.grid
     g_g, _, _ = gauduchon_metric(g)
 
-    c, diff = _obstruction(g, psi, g_g)
+    diff = _ricci_defect(g, psi)
+    adj, det_g = _adjugate(_planes(g_g.values))
+    # pair_density(g_G, .), the mixed determinant, symmetric in its two forms
+    pairing = laplacian_planes(adj, 1)
+    density = _contract(pairing, _planes(diff.values), grid)
+    c = float(np.mean(density) / 2.0)  # constraint_integral(g, psi, g_G)
     if abs(c) > _CONSTRAINT_TOL:
         raise ConstraintViolated(
             f"pairing obstruction {c:.6e} exceeds tolerance {_CONSTRAINT_TOL:.1e}"
         )
 
-    rhs = 2.0 * np.pi * pair_density(diff, g_g) / det(g_g)
-    f_vals = _poisson_solve_gauduchon(g_g, rhs)
+    f_vals, _, _ = solve_constrained(
+        laplacian,
+        laplacian_planes(adj, 1.0 / det_g),
+        rhs=2.0 * np.pi * density / det_g,
+        grid=grid,
+        rtol=_POISSON_RTOL,
+        maxiter=_POISSON_MAXITER,
+    )
+    f_vals = f_vals - (det_g / det_g.sum() * f_vals).sum()
     f = ScalarField(grid, f_vals)
 
     a = HermitianField(
         grid, diff.values - complex_hessian(f_vals, grid) / (2.0 * np.pi)
     )
-    asd_residual = float(np.max(np.abs(pair_density(g_g, a))) / 2.0)
+    asd_residual = float(np.max(np.abs(_contract(pairing, _planes(a.values), grid))) / 2.0)
     l2_sq = integrate(ScalarField(grid, np.maximum(form_norm_sq(a, g_g).values, 0.0)), g_g)
     a_l2 = float(np.sqrt(max(l2_sq, 0.0)))
 

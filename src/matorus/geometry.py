@@ -63,6 +63,7 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
+    _adjugate,
     _fftn,
     _holo_symbols,
     _ifftn,
@@ -137,7 +138,8 @@ class MetricDefects:
 def weight_planes(g: HermitianField) -> tuple:
     """Coefficient planes of the weight operator M(v) = d dbar (v omega^{n-1})
     of g, the planes of (n-1)! adj(g), for ``laplacian_adjoint``."""
-    return laplacian_planes(_planes(g.values), math.factorial(g.grid.complex_dim - 1))
+    adj = _adjugate(_planes(g.values))[0]
+    return laplacian_planes(adj, math.factorial(g.grid.complex_dim - 1))
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
@@ -171,7 +173,8 @@ def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
     """Laplace operator of the canonical connection, trace(G^-1 Hess f)."""
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    planes = laplacian_planes(_planes(g.values), 1.0 / det(g))
+    adj, d = _adjugate(_planes(g.values))
+    planes = laplacian_planes(adj, 1.0 / d)
     return ScalarField(f.grid, laplacian(planes, f.values, f.grid))
 
 
@@ -277,7 +280,8 @@ def pair_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """
     if a.grid.complex_dim != 2:
         raise GridMismatchError("pair_density is defined for n=2 only")
-    return _contract(laplacian_planes(_planes(a.values), 1), _planes(b.values), a.grid)
+    adj = _adjugate(_planes(a.values))[0]
+    return _contract(laplacian_planes(adj, 1), _planes(b.values), a.grid)
 
 
 def wedge_integral(a: HermitianField, b: HermitianField) -> float:

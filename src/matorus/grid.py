@@ -34,10 +34,10 @@ acts on real fields through them and the coefficient planes of
 
 Fields are immutable after construction. The pointwise math of a
 Hermitian field m takes one format, its n^2 real planes in the same
-order (``_planes`` views them, ``_hessian_matrix`` assembles m): the
-planes of adj(m) (``_cofactors``, behind ``inverse``, the builder and
-the n=2 wedge pairing), ``_det`` and, but at n=3, ``_eigmin_grid`` are
-closed forms in real arithmetic.
+order (``_planes`` views them, ``_hessian_matrix`` assembles m). One
+pass, ``_adjugate``, gives the planes of adj(m) and det m together, for
+``det``, ``inverse`` and every caller that needs either; it and, but at
+n=3, ``_eigmin_grid`` are closed forms in real arithmetic.
 Every transform is SciPy's compiled pocketfft kernel, the extension
 ``scipy.fft`` itself calls, loaded from its file (``_load_pocketfft``)
 without importing ``scipy.fft``, whose import loads ``scipy.special`` and
@@ -339,7 +339,7 @@ class HermitianField:
             if np.log(lo) + 1 < n * np.log(emin) and n * np.log(n * vmax) < np.log(hi) - 1:
                 return
             with np.errstate(over="ignore", invalid="ignore"):
-                d = _det(_planes(out))
+                d = _adjugate(_planes(out))[1]
                 ok = lo <= d.min() <= d.max() <= hi  # False for NaN too
             if not ok:
                 point = tuple(map(int, np.unravel_index(np.argmin((d >= lo) & (d <= hi)), d.shape)))
@@ -387,46 +387,44 @@ def _planes(m: np.ndarray) -> tuple:
     return tuple(planes)
 
 
-def _cofactors(p: tuple) -> tuple:
-    """The planes of adj(m), adj(m) m = det(m) I, from the planes ``p`` of
-    a Hermitian 2 x 2 or 3 x 3 matrix field m; adj(m) is Hermitian too."""
+def _adjugate(p: tuple) -> tuple:
+    """(planes of adj(m), det m) from the planes ``p`` of a Hermitian
+    2 x 2 or 3 x 3 matrix field m, with adj(m) m = det(m) I; adj(m) is
+    Hermitian too, and det m is expanded along the first row,
+    m_00 adj_00 + sum_j Re(m_0j conj(adj_0j))."""
     if len(p) == 4:
-        return p[1], p[0], -p[2], -p[3]
-    # m01 = a + ib, m02 = c + id, m12 = e + if
-    m00, m11, m22, a, b, c, d, e, f = p
-    return (
-        m11 * m22 - (e * e + f * f),
-        m00 * m22 - (c * c + d * d),
-        m00 * m11 - (a * a + b * b),
-        e * c + f * d - m22 * a,
-        e * d - f * c - m22 * b,
-        a * e - b * f - m11 * c,
-        a * f + b * e - m11 * d,
-        a * c + b * d - m00 * e,
-        a * d - b * c - m00 * f,
-    )
-
-
-def _det(p: tuple) -> np.ndarray:
-    """det m from the planes ``p`` of a Hermitian matrix field m, expanded
-    along the first row: m_00 adj_00 + sum_j Re(m_0j conj(adj_0j))."""
-    c, n = _cofactors(p), math.isqrt(len(p))
-    out = p[0] * c[0]
+        adj = p[1], p[0], -p[2], -p[3]
+    else:
+        # m01 = a + ib, m02 = c + id, m12 = e + if
+        m00, m11, m22, a, b, c, d, e, f = p
+        adj = (
+            m11 * m22 - (e * e + f * f),
+            m00 * m22 - (c * c + d * d),
+            m00 * m11 - (a * a + b * b),
+            e * c + f * d - m22 * a,
+            e * d - f * c - m22 * b,
+            a * e - b * f - m11 * c,
+            a * f + b * e - m11 * d,
+            a * c + b * d - m00 * e,
+            a * d - b * c - m00 * f,
+        )
+    n = math.isqrt(len(p))
+    det_m = p[0] * adj[0]
     for k in range(n, 3 * n - 2, 2):
-        out += p[k] * c[k] + p[k + 1] * c[k + 1]
-    return out
+        det_m += p[k] * adj[k] + p[k + 1] * adj[k + 1]
+    return adj, det_m
 
 
 def det(h: HermitianField) -> np.ndarray:
     """Pointwise determinant (real for Hermitian matrices)."""
-    return _det(_planes(h.values))
+    return _adjugate(_planes(h.values))[1]
 
 
 def inverse(h: HermitianField) -> np.ndarray:
     """Pointwise inverse adj(h) / det(h), returned as a raw array."""
-    p = _planes(h.values)
-    out = _hessian_matrix(_cofactors(p))
-    out /= _det(p)[..., None, None]
+    adj, d = _adjugate(_planes(h.values))
+    out = _hessian_matrix(adj)
+    out /= d[..., None, None]
     return out
 
 

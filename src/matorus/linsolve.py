@@ -2,16 +2,17 @@
 coefficients and a bordered Krylov solve for them.
 
 An operator is described once, by the real planes P_k of scale * adj(m)
-(``laplacian_planes``, the one builder, from the planes of the Hermitian
-field m), which match the half-spectrum Hessian symbols S_k cached per
-grid (``grid.real_hessian_symbols``). Two kernels take the same planes:
+(``laplacian_planes``, the one builder, which scales the planes of adj(m)
+that ``grid._adjugate`` forms with det m), which match the half-spectrum
+Hessian symbols S_k cached per grid (``grid.real_hessian_symbols``). Two
+kernels take the same planes:
 
     laplacian(P, f)         = sum_k P_k * irfftn(S_k * rfftn(f)),
     laplacian_adjoint(P, v) = irfftn(sum_k S_k * rfftn(P_k * v)).
 
 Each S_k is real and even, so the second is the L2 adjoint of the first.
-With the planes of (g, 1 / det g) the first is the canonical Laplacian
-trace(G^-1 Hess); with those of (g, (n-1)!) the second is the weight
+With the planes of adj(g) scaled by 1 / det g the first is the canonical
+Laplacian trace(G^-1 Hess); scaled by (n-1)! the second is the weight
 operator, the coefficient of d dbar (v omega^{n-1}).
 
 ``solve_constrained(apply, planes, ...)`` solves, for a scalar field eta
@@ -63,8 +64,8 @@ exact inverse, the start is the solution, and that one application
 confirms it at every n.
 
 The callers are the Newton step (``solver.newton_solve``), the Poisson
-solve in the distinguished metric (``chern._poisson_solve_gauduchon``)
-and the conformal-weight kernel solve (``geometry.gauduchon_weight``).
+solve in the distinguished metric (``chern.prescribe_ricci``) and the
+conformal-weight kernel solve (``geometry.gauduchon_weight``).
 """
 
 from __future__ import annotations
@@ -74,26 +75,19 @@ import math
 import numpy as np
 
 from .errors import LinearSolverStalled
-from .grid import (
-    GridSpec,
-    _cofactors,
-    _hessian_planes,
-    _irfftn,
-    _rfftn,
-    real_hessian_symbols,
-)
+from .grid import GridSpec, _hessian_planes, _irfftn, _rfftn, real_hessian_symbols
 
 _RESTART = 30  # Arnoldi steps per GMRES cycle, the inner_m default of LGMRES
 
 
-def laplacian_planes(p: tuple, scale) -> tuple:
+def laplacian_planes(adj: tuple, scale) -> tuple:
     """Real planes of sum_ij A[j, i] d_i d_jbar, A = scale * adj(m), for the
-    planes ``p`` of a Hermitian matrix field m and a real number or field
-    ``scale``: those of adj(m) (``grid._cofactors``) times scale, A_ii,
-    and times 2 scale off the diagonal, 2 Re A_ij and 2 Im A_ij. Scale
-    1 / det m gives trace(m^-1 Hess)."""
-    n = math.isqrt(len(p))
-    return tuple((scale if k < n else 2.0 * scale) * c for k, c in enumerate(_cofactors(p)))
+    planes ``adj`` of adj(m) (``grid._adjugate``) and a real number or
+    field ``scale``: each plane times scale, A_ii, and times 2 scale off
+    the diagonal, 2 Re A_ij and 2 Im A_ij. Scale 1 / det m gives
+    trace(m^-1 Hess)."""
+    n = math.isqrt(len(adj))
+    return tuple((scale if k < n else 2.0 * scale) * c for k, c in enumerate(adj))
 
 
 def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -12,13 +12,15 @@ solves the bordered system [laplacian, -1; mean, 0] for a correction of
 zero grid mean and the change of b, by ``linsolve.solve_constrained``
 with the ``laplacian`` kernel and the planes of adj(g') / det g' of the
 solution metric g' (``linsolve.laplacian_planes``). Newton holds g' as
-its n^2 real planes (``grid._planes``), and the solve also returns the
-Hessian planes of the correction, from its preconditioner's last pass,
-so each line-search trial adds the two plane by plane. The equation is
-invariant under constant shifts of phi, so no correction is spent on
-the constant of the start; on output phi is re-normalized to sup phi =
-0, which leaves b unchanged. That is the only normalization: the
-Gauduchon metric enters the estimates, not the gauge of the Newton step.
+its n^2 real planes (``grid._planes``), and one pass of ``grid._adjugate``
+per iterate gives both det g', for the log residual, and adj(g'), for
+the planes. The solve also returns the Hessian planes of the correction,
+from its preconditioner's last pass, so each line-search trial adds the
+two plane by plane. The equation is invariant under constant shifts of
+phi, so no correction is spent on the constant of the start; on output
+phi is re-normalized to sup phi = 0, which leaves b unchanged. That is
+the only normalization: the Gauduchon metric enters the estimates, not
+the gauge of the Newton step.
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
 warm-starting each Newton solve from the previous step. The first step is
@@ -89,7 +91,7 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    _det,
+    _adjugate,
     _eigmin_grid,
     _planes,
     complex_hessian,
@@ -171,8 +173,8 @@ def newton_solve(
     """Newton iteration for (phi, b) at a fixed right-hand side.
 
     The iterate g + Hess phi is held as its planes. Each takes one
-    determinant, for both its log residual and the scale 1 / det of its
-    Laplacian's planes. Each correction has zero grid mean; its Hessian
+    adjugate pass, for both its log residual and its Laplacian's planes,
+    adj / det. Each correction has zero grid mean; its Hessian
     planes come back from ``solve_constrained`` with it, and the line
     search's accepted trial is the next iterate.
     The returned phi is shifted to sup phi = 0, which leaves the equation
@@ -201,7 +203,7 @@ def newton_solve(
     # it is not validated again.
     history = []
     for _ in range(config.max_newton_iters):
-        det_gp = _det(gp)
+        adj, det_gp = _adjugate(gp)
         residual = np.log(det_gp) - logdet_g - F_target.values - float(b)
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
@@ -216,15 +218,18 @@ def newton_solve(
                 residual_history=history,
             )
 
+        planes = laplacian_planes(adj, 1.0 / det_gp)
+        del adj, det_gp  # the planes alone live through the solve
         eta, db, hessian = solve_constrained(
             laplacian,
-            laplacian_planes(gp, 1.0 / det_gp),
+            planes,
             rhs=-residual,
             grid=grid,
             # res_norm * res_norm is inf for a huge residual, where res_norm**2 raises.
             rtol=max(_LINEAR_TOL, min(0.1, res_norm * res_norm), 0.1 * config.newton_tol / res_norm),
             maxiter=_LINEAR_MAXITER,
         )
+        del planes  # and not through the line search
 
         alpha = 1.0
         while True:

@@ -40,10 +40,10 @@ from matorus.jets import (
     trace_inequality_slack,
     transform_jet,
 )
-from matorus.problems import random_metric, random_trig_field
 from matorus.solver import continuity_solve, ma_log_residual
 
 from conftest import conformal_metric
+from random_fields import random_metric, random_trig_field
 
 
 @contextmanager

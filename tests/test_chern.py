@@ -14,8 +14,8 @@ from matorus.grid import (
     integrate,
     measure_weights,
 )
-from matorus.problems import random_trig_field
 from conftest import conformal_metric, count_weight_solves
+from random_fields import random_trig_field
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,29 @@ class TestPrescribe:
         prescribe_ricci(g, psi)
         assert len(calls) == 2
         assert calls[0] is g
+
+    def test_one_adjugate_pass_of_the_distinguished_metric(self, background, monkeypatch):
+        # One pass of g_G's adjugate gives the pairing, whose mean is
+        # constraint_integral's value bit for bit, the Poisson operator and
+        # the gauge. A constant 2e-9 I in psi keeps the pairing away from
+        # zero and under the tolerance.
+        from matorus import chern
+
+        grid, g, g_g = background
+        eye = np.broadcast_to(np.eye(2, dtype=complex), grid.shape + (2, 2))
+        psi = HermitianField(grid, ricci_form(g).values + 2e-9 * eye)
+        calls = []
+        original = chern._adjugate
+
+        def counted(p):
+            calls.append(1)
+            return original(p)
+
+        monkeypatch.setattr(chern, "_adjugate", counted)
+        res = prescribe_ricci(g, psi)
+        assert len(calls) == 1
+        assert res.constraint_value == constraint_integral(g, psi, g_g)
+        assert 1e-9 < abs(res.constraint_value) < 1e-8
 
     def test_flat_background_small_target(self, grid8, rng):
         g = identity_metric(grid8)

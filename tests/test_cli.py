@@ -8,9 +8,10 @@ from matorus.cli import main
 from matorus.fieldio import deserialize, serialize
 from matorus.geometry import defects, gauduchon_metric, gauduchon_residual
 from matorus.grid import GridSpec, ScalarField
-from matorus.problems import metric_from_spec, random_trig_field
+from matorus.problems import metric_from_spec
 
 from conftest import peak_field_units
+from random_fields import random_trig_field
 
 
 def write_config(tmp_path, name, obj):

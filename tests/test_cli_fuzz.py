@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from matorus.cli import main
 from matorus.fieldio import serialize
 from matorus.grid import GridSpec
-from matorus.problems import random_trig_field
+
+from random_fields import random_trig_field
 
 BASE = {
     "grid": {"complex_dim": 2, "points_per_axis": 8},

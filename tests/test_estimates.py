@@ -22,10 +22,10 @@ from matorus.grid import (
     identity_metric,
     min_eigenvalue,
 )
-from matorus.problems import random_metric, random_trig_field
 from matorus.solver import SolverConfig, SolveResult, continuity_solve
 
 from conftest import conformal_metric, count_weight_solves, peak_field_units
+from random_fields import random_metric, random_trig_field
 
 
 CRITERION_8_SCALES = [0.25, 0.5, 1.0, 1.5, 2.0]

@@ -7,7 +7,8 @@ from matorus import fieldio
 from matorus.errors import FieldFormatError
 from matorus.fieldio import MAGIC, deserialize, serialize
 from matorus.grid import GridSpec, HermitianField, ScalarField
-from matorus.problems import random_metric
+
+from random_fields import random_metric
 
 
 def test_scalar_real_round_trip(grid8, rng, tmp_path):

@@ -27,9 +27,9 @@ from matorus.grid import (
     integrate,
     inverse,
 )
-from matorus.problems import random_metric, random_trig_field
 
 from conftest import conformal_metric, peak_field_units, sample
+from random_fields import random_metric, random_trig_field
 
 
 def diag_metric_x2(grid, eps=0.3):

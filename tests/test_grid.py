@@ -7,8 +7,7 @@ from matorus.grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    _cofactors,
-    _det,
+    _adjugate,
     _hessian_matrix,
     _planes,
     complex_hessian,
@@ -25,9 +24,8 @@ from matorus.grid import (
     min_eigenvalue,
 )
 
-from matorus.problems import random_metric
-
 from conftest import peak_field_units, sample
+from random_fields import random_metric
 
 
 def test_gridspec_validation():
@@ -180,8 +178,6 @@ def test_discrete_divergence_theorem(rng):
 
 
 def test_measure_weights_sum_to_one(grid8, rng):
-    from matorus.problems import random_metric
-
     g = random_metric(grid8, rng)
     w = measure_weights(g)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -204,8 +200,6 @@ def test_metric_positivity_validation(grid8):
 def test_closed_form_inverse_and_det(rng):
     for n in (2, 3):
         grid = GridSpec(n, 8)
-        from matorus.problems import random_metric
-
         g = random_metric(grid, rng, amplitude=0.3)
         flat = g.values.reshape(-1, n, n)[:50]
         inv = inverse(g).reshape(-1, n, n)[:50]
@@ -247,12 +241,11 @@ def test_planes_kernels_on_indefinite_fields(n):
     m = a + np.conj(np.swapaxes(a, -1, -2))
     eig = np.linalg.eigvalsh(m)
     assert ((eig[..., 0] < 0) & (eig[..., -1] > 0)).mean() > 0.5
-    p = _planes(m)
-    d = _det(p)
+    adj, d = _adjugate(_planes(m))
     want = np.linalg.det(m).real
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(d - want))) <= 1e-12 * scale
-    err = _hessian_matrix(_cofactors(p)) @ m - d[..., None, None] * np.eye(n)
+    err = _hessian_matrix(adj) @ m - d[..., None, None] * np.eye(n)
     assert float(np.max(np.abs(err))) <= 1e-12 * scale
 
 

@@ -16,20 +16,23 @@ from matorus.geometry import gauduchon_weight, weight_planes
 from matorus.grid import (
     GridSpec,
     HermitianField,
+    _adjugate,
     _hessian_matrix,
     _planes,
     complex_hessian,
     det,
 )
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
-from matorus.problems import random_metric, random_trig_field
 
 from conftest import conformal_metric, sample, wrap_gmres_operator
+from random_fields import random_metric, random_trig_field
 
 # Each kernel with the planes its callers give it: adj(g) / det(g) for
 # the Laplacian, (n-1)! adj(g) for its adjoint, the weight operator.
 KERNELS = {
-    "laplacian": (laplacian, lambda g: laplacian_planes(_planes(g.values), 1.0 / det(g))),
+    "laplacian": (
+        laplacian, lambda g: laplacian_planes(_adjugate(_planes(g.values))[0], 1.0 / det(g))
+    ),
     "laplacian_adjoint": (laplacian_adjoint, weight_planes),
 }
 
@@ -96,7 +99,7 @@ def test_conformal_laplacian_solve_is_one_krylov_step(n, count_matvecs):
     grid, g = _conformal(n)
     rhs = np.random.default_rng(77 + n).standard_normal(grid.shape)
     rhs -= rhs.mean()
-    planes = laplacian_planes(_planes(g.values), 1.0 / det(g))
+    planes = laplacian_planes(_adjugate(_planes(g.values))[0], 1.0 / det(g))
     eta, beta, _ = solve_constrained(laplacian, planes, rhs, grid)
     assert 0 < len(count_matvecs) <= 4
     assert float(np.max(np.abs(laplacian(planes, eta, grid) - beta - rhs))) <= 1e-9
@@ -122,7 +125,7 @@ def test_laplacian_operator_is_one_spectral_pass(n, monkeypatch, count_transform
     grid = GridSpec(n, 8)
     rng = np.random.default_rng(150 + n)
     g = random_metric(grid, rng)
-    planes = laplacian_planes(_planes(g.values), 1.0 / det(g))
+    planes = laplacian_planes(_adjugate(_planes(g.values))[0], 1.0 / det(g))
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
     per_application = []

@@ -7,10 +7,11 @@ from matorus import geometry, solver
 from matorus.errors import ContinuationStalled
 from matorus.expressions import sample_expression
 from matorus.grid import GridSpec, identity_metric, resample
-from matorus.problems import metric_from_spec, random_metric, random_trig_field
+from matorus.problems import metric_from_spec
 from matorus.solver import SolverConfig, continuity_solve, ma_log_residual, nested_solve
 
 from conftest import count_weight_solves
+from random_fields import random_metric, random_trig_field
 
 RHS = "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)"
 

@@ -24,8 +24,9 @@ from matorus.grid import (
     det,
     identity_metric,
 )
-from matorus.problems import random_metric, random_trig_field
 from matorus.solver import SolverConfig, continuity_solve, newton_solve
+
+from random_fields import random_metric, random_trig_field
 
 
 def test_gauduchon_kernel_positivity_guard(grid8):

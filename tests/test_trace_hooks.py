@@ -9,7 +9,7 @@ pocketfft kernel directly, so ``grid.fft.*`` reads 0.
 
 The tracer rebinds module attributes, so it runs in a child process and
 nothing leaks into the other tests; ``-B`` keeps the child from writing
-bytecode under perfbench/.
+bytecode under perfbench/ or tests/.
 """
 
 import json
@@ -26,12 +26,12 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 import matorus.cli  # noqa: F401  (install() expects the package loaded)
 import tracer
 from matorus import solver
 from matorus.grid import GridSpec
-from matorus.problems import random_metric, random_trig_field
+from random_fields import random_metric, random_trig_field
 
 t = tracer.Tracer()
 tracer.install(t)
@@ -49,7 +49,7 @@ def test_tracer_hooks_see_the_operator_layer(tmp_path):
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "perfbench")],
+        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "tests")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
