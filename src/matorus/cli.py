@@ -31,7 +31,6 @@ from .chern import prescribe_ricci
 from .errors import ConfigError, GridMismatchError, MatorusError
 from .estimates import report as estimate_report
 from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
-from .expressions import sample_expression
 from .fieldio import _write_atomic, serialize
 from .geometry import _weight_image, defects, ricci_form
 from .grid import (
@@ -42,18 +41,18 @@ from .grid import (
     min_eigenvalue,
 )
 from .jets import run_identity_fuzz
-from .problems import _reject_unknown_keys
-from .problems import field_from_spec, metric_from_spec, rhs_from_spec, spec_string
+from .problems import field_from_spec, metric_from_spec, real_scalar_from_spec
+from .problems import rhs_from_spec, spec_key
 from .solver import SolveResult, SolverConfig, nested_solve
 
 log = logging.getLogger("matorus")
 
 TASKS = ("solve", "sweep", "gauduchon", "verify-identities", "prescribe-ricci", "report")
 
-# Top-level config keys: the common ones, then every task's own (``extras``).
+# Top-level config keys: the common ones, then each task's own (``extras``),
+# which any other task rejects.
 _COMMON_KEYS = ("task", "grid", "metric", "rhs", "solver", "seed", "output_dir")
-_EXTRA_KEYS = ("scales", "psi", "phi", "b")
-_PSI_KEYS = ("h_expression", "h_path", "path")
+_TASK_KEYS = {"scales": "sweep", "psi": "prescribe-ricci", "phi": "report", "b": "report"}
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
     _require(isinstance(raw, dict), "config root must be a JSON object")
     for key in raw:
         _require(
-            key in _COMMON_KEYS or key in _EXTRA_KEYS,
-            f"unknown config field {key!r}; one of {_COMMON_KEYS + _EXTRA_KEYS}",
+            key in _COMMON_KEYS or key in _TASK_KEYS,
+            f"unknown config field {key!r}; one of {_COMMON_KEYS + tuple(_TASK_KEYS)}",
         )
     if "task" in raw and raw["task"] != task:
         raise ConfigError(
@@ -149,7 +148,11 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
         seed = seed_override
     out = out_override or raw.get("output_dir", "out")
     _require(isinstance(out, str) and out, "config field 'output_dir' must be a nonempty string")
-    extras = {k: raw[k] for k in _EXTRA_KEYS if k in raw}
+    extras = {}
+    for key, owner in _TASK_KEYS.items():
+        if key in raw:
+            _require(owner == task, f"config field {key!r} is read by the {owner!r} task only")
+            extras[key] = raw[key]
     return RunConfig(
         task=task,
         grid=grid,
@@ -278,28 +281,16 @@ def _task_verify(cfg: RunConfig, out: str) -> dict:
 def _task_prescribe(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     psi_spec = cfg.extras.get("psi")
-    _require(isinstance(psi_spec, dict), "prescribe-ricci task needs a 'psi' object")
-    _reject_unknown_keys(psi_spec, _PSI_KEYS, "psi spec")
-    _require(len(psi_spec) == 1, f"'psi' needs exactly one of {_PSI_KEYS}")
-    h = None
-    if "h_expression" in psi_spec:
-        h = sample_expression(spec_string(psi_spec, "h_expression", "psi"), cfg.grid)
-    elif "h_path" in psi_spec:
-        fld = field_from_spec(psi_spec, "h_path", "psi", cfg.grid)
-        _require(
-            isinstance(fld, ScalarField) and fld.is_real,
-            "'psi.h_path' must hold a real scalar field",
-        )
-        h = fld
-    if h is not None:
+    key = spec_key(psi_spec, ("h_expression", "h_path", "path"), "psi")
+    if key == "path":
+        psi = field_from_spec(psi_spec, "path", "psi", cfg.grid)
+        _require(isinstance(psi, HermitianField), "'psi.path' must hold a matrix field")
+    else:
+        h = real_scalar_from_spec(cfg.grid, psi_spec, key, "psi")
         ric = ricci_form(g)
         psi = HermitianField(
             cfg.grid, ric.values - complex_hessian(h.values, cfg.grid) / (2.0 * np.pi)
         )
-    else:
-        fld = field_from_spec(psi_spec, "path", "psi", cfg.grid)
-        _require(isinstance(fld, HermitianField), "'psi.path' must hold a matrix field")
-        psi = fld
     res = prescribe_ricci(g, psi, cfg.solver)
     serialize(res.f, os.path.join(out, "f.field"))
     serialize(res.solve.phi, os.path.join(out, "phi.field"))
@@ -317,19 +308,11 @@ def _task_prescribe(cfg: RunConfig, out: str) -> dict:
 
 def _task_report(cfg: RunConfig, out: str) -> dict:
     phi_spec = cfg.extras.get("phi")
-    _require(
-        isinstance(phi_spec, dict) and "path" in phi_spec,
-        "report task needs a 'phi' object with a 'path'",
-    )
-    _reject_unknown_keys(phi_spec, ("path",), "phi spec")
+    spec_key(phi_spec, ("path",), "phi")
     b = cfg.extras.get("b", 0.0)
     _require(_is_finite_number(b), "report task field 'b' must be a finite number")
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
-    phi = field_from_spec(phi_spec, "path", "phi", cfg.grid)
-    _require(
-        isinstance(phi, ScalarField) and phi.is_real,
-        "'phi.path' must hold a real scalar field",
-    )
+    phi = real_scalar_from_spec(cfg.grid, phi_spec, "path", "phi")
     shift = float(phi.values.max())
     gprime = HermitianField(cfg.grid, g.values + complex_hessian(phi.values, cfg.grid))
     result = SolveResult(

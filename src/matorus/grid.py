@@ -462,16 +462,6 @@ def d_antiholo(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, _ifftn(-np.conj(_holo_symbol(f, axis)) * _fftn(f.values)))
 
 
-def d_real(f: ScalarField, real_axis: int) -> ScalarField:
-    """Derivative along a single real axis (0..2n-1): d/dx^j = d_j + d_jbar,
-    symbol sigma - conj(sigma), and d/dy^j = i (d_j - d_jbar), symbol
-    i (sigma + conj(sigma)). A real field has a real derivative."""
-    s = _holo_symbol(f, real_axis // 2)
-    symbol = s - np.conj(s) if real_axis % 2 == 0 else 1j * (s + np.conj(s))
-    out = _ifftn(symbol * _fftn(f.values))
-    return ScalarField(f.grid, out.real if f.is_real else out)
-
-
 def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """All entries d_i d_jbar f as an array of shape grid.shape + (n, n).
 

@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import GaugeViolated, GridMismatchError, NotPositiveError
 
-GAUGE_TOL = 1e-12
-
 
 def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)

@@ -1,4 +1,6 @@
-"""Problem setup: metrics and right-hand sides from config specs."""
+"""Problem setup from config specs: a metric, and the specs of one key
+(``rhs``, ``psi``, ``phi``) whose real scalar fields are expressions or
+field files."""
 
 from __future__ import annotations
 
@@ -87,19 +89,30 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
     return fld.as_metric()
 
 
+def spec_key(spec, keys: tuple, where: str) -> str:
+    """The one key of ``spec``, an object that holds exactly one of ``keys``
+    and no other key."""
+    if isinstance(spec, dict):
+        _reject_unknown_keys(spec, keys, f"{where} spec")
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ConfigError(f"{where} spec must be an object with exactly one of {keys}")
+    return next(iter(spec))
+
+
+def real_scalar_from_spec(grid: GridSpec, spec: dict, key: str, where: str) -> ScalarField:
+    """The real scalar field of ``spec[key]``: an expression under a key
+    that ends in ``expression``, else the field file the key names."""
+    if key.endswith("expression"):
+        return sample_expression(spec_string(spec, key, where), grid)
+    fld = field_from_spec(spec, key, where, grid)
+    if not isinstance(fld, ScalarField) or not fld.is_real:
+        raise ConfigError(f"{where}.{key} {spec[key]!r} does not hold a real scalar field")
+    return fld
+
+
 def rhs_from_spec(grid: GridSpec, spec) -> ScalarField:
-    """Right-hand side F from {"expression": ...} or {"path": ...}, with
-    exactly one of the two keys and no other; zero when spec is None."""
+    """Right-hand side F from {"expression": ...} or {"path": ...}; zero
+    when spec is None."""
     if spec is None:
         return constant_field(grid, 0.0)
-    if not isinstance(spec, dict):
-        raise ConfigError("rhs spec must be an object")
-    _reject_unknown_keys(spec, ("expression", "path"), "rhs spec")
-    if len(spec) != 1:
-        raise ConfigError("rhs spec needs exactly one of 'expression' or 'path'")
-    if "expression" in spec:
-        return sample_expression(spec_string(spec, "expression", "rhs"), grid)
-    fld = field_from_spec(spec, "path", "rhs", grid)
-    if not isinstance(fld, ScalarField) or not fld.is_real:
-        raise ConfigError(f"{spec['path']} does not contain a real scalar field")
-    return fld
+    return real_scalar_from_spec(grid, spec, spec_key(spec, ("expression", "path"), "rhs"), "rhs")

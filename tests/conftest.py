@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matorus.grid import GridSpec, HermitianField, ScalarField, identity_metric
+from matorus.grid import GridSpec, HermitianField, ScalarField, d_antiholo, d_holo, identity_metric
 
 
 @pytest.fixture
@@ -26,6 +26,17 @@ def rng():
 def sample(grid: GridSpec, fn) -> ScalarField:
     """Sample fn(coords dict) onto the grid as a ScalarField."""
     return ScalarField(grid, np.broadcast_to(fn(grid.coordinates()), grid.shape).copy())
+
+
+def real_derivatives(f: ScalarField) -> list:
+    """The 2n real-axis derivatives of f in axis order, from the Wirtinger
+    ones: d/dx^j = d_j + d_jbar and d/dy^j = i (d_j - d_jbar). Real for a
+    real f."""
+    out = []
+    for j in range(f.grid.complex_dim):
+        dh, da = d_holo(f, j).values, d_antiholo(f, j).values
+        out += [dh + da, 1j * (dh - da)]
+    return [ScalarField(f.grid, d.real if f.is_real else d) for d in out]
 
 
 def conformal_metric(grid: GridSpec, h: ScalarField) -> HermitianField:

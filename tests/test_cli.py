@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matorus.cli import main
+from matorus.cli import TASKS, main
 from matorus.fieldio import deserialize, serialize
 from matorus.geometry import defects, gauduchon_metric, gauduchon_residual
 from matorus.grid import GridSpec, ScalarField
@@ -398,6 +398,36 @@ def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+TASK_KEYS = {
+    "scales": ("sweep", [1.0]),
+    "psi": ("prescribe-ricci", {"h_expression": "0.1*cos(2*pi*x1)"}),
+    "phi": ("report", {"path": "phi.field"}),
+    "b": ("report", 0.0),
+}
+
+
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        (task, key)
+        for task in TASKS
+        for key, (owner, _) in TASK_KEYS.items()
+        if task != owner
+    ],
+)
+def test_task_key_is_rejected_by_other_tasks(tmp_path, capsys, task, key):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text("{}")
+    config = {"grid": BASE_GRID, "metric": {"kind": "flat"}, key: TASK_KEYS[key][1]}
+    cfg = write_config(tmp_path, "foreign.json", config)
+    assert run_cli([task, "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "config_error", err
+    assert repr(key) in err["message"]
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "task, patch, named",
     [
@@ -436,6 +466,28 @@ def test_unknown_spec_key_is_a_config_error(tmp_path, capsys, monkeypatch, task,
     grid = GridSpec(**BASE_GRID)
     serialize(metric_from_spec(grid, {"kind": "flat"}), tmp_path / "g.field")
     cfg = write_config(tmp_path, "typo.json", {"grid": BASE_GRID, **patch})
+    assert run_cli([task, "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "config_error", err
+    assert named in err["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "task, patch, named",
+    [
+        ("solve", {"rhs": {"path": "g.field"}}, "rhs.path"),
+        ("prescribe-ricci", {"psi": {"h_path": "g.field"}}, "psi.h_path"),
+        ("report", {"phi": {"path": "g.field"}}, "phi.path"),
+    ],
+    ids=["rhs", "psi", "phi"],
+)
+def test_scalar_spec_file_must_hold_a_real_scalar_field(
+    tmp_path, capsys, monkeypatch, task, patch, named
+):
+    monkeypatch.chdir(tmp_path)
+    serialize(metric_from_spec(GridSpec(**BASE_GRID), {"kind": "flat"}), tmp_path / "g.field")
+    cfg = write_config(tmp_path, "matrix.json", {"grid": BASE_GRID, **patch})
     assert run_cli([task, "--config", cfg]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "config_error", err

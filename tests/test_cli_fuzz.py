@@ -16,20 +16,40 @@ from hypothesis import strategies as st
 
 from matorus.cli import main
 from matorus.fieldio import serialize
-from matorus.grid import GridSpec
+from matorus.grid import GridSpec, identity_metric
 
 from random_fields import random_trig_field
 
+# Field files on the base grid, named by these markers in a config:
+# a real scalar field and a metric.
+FIELD, METRIC = object(), object()
+
+# Each spec starts from one of its variants, so that every branch of the
+# spec readers (expression or file, scalar or matrix) is the start of
+# some runs.
 BASE = {
-    "grid": {"complex_dim": 2, "points_per_axis": 8},
-    "metric": {"kind": "conformal", "h": "0.2*cos(2*pi*x2)"},
-    "rhs": {"expression": "0.4*cos(2*pi*x1)"},
-    "solver": {"newton_tol": 1e-10, "max_newton_iters": 30},
-    "scales": [1.0],
-    "psi": {"h_expression": "0.1*cos(2*pi*x1)"},
-    "phi": {"path": "phi.field"},
-    "b": 0.0,
-    "seed": 3,
+    "grid": st.just({"complex_dim": 2, "points_per_axis": 8}),
+    "metric": st.sampled_from([
+        {"kind": "conformal", "h": "0.2*cos(2*pi*x2)"},
+        {"kind": "kaehler_perturbation", "f": "0.01*cos(2*pi*x1)"},
+        {"kind": "explicit", "path": METRIC},
+    ]),
+    "rhs": st.sampled_from([{"expression": "0.4*cos(2*pi*x1)"}, {"path": FIELD}]),
+    "solver": st.just({"newton_tol": 1e-10, "max_newton_iters": 30}),
+    "seed": st.just(3),
+}
+
+# Each task's own keys; every other task rejects them (tests/test_cli.py).
+OWN = {
+    "solve": {},
+    "sweep": {"scales": st.just([1.0])},
+    "gauduchon": {},
+    "report": {"phi": st.just({"path": FIELD}), "b": st.just(0.0)},
+    "prescribe-ricci": {
+        "psi": st.sampled_from([
+            {"h_expression": "0.1*cos(2*pi*x1)"}, {"h_path": FIELD}, {"path": METRIC},
+        ]),
+    },
 }
 
 PATHS = (
@@ -41,26 +61,38 @@ PATHS = (
     ("metric",),
     ("metric", "kind"),
     ("metric", "h"),
+    ("metric", "f"),
+    ("metric", "path"),
     ("rhs",),
     ("rhs", "expression"),
+    ("rhs", "path"),
     ("solver",),
     ("solver", "newton_tol"),
     ("solver", "max_newton_iters"),
-    ("scales",),
-    ("psi",),
-    ("psi", "h_expression"),
-    ("phi",),
-    ("phi", "path"),
-    ("b",),
     ("seed",),
     ("output_dir",),
 )
 
+OWN_PATHS = {
+    "solve": (),
+    "sweep": (("scales",),),
+    "gauduchon": (),
+    "report": (("phi",), ("phi", "path"), ("b",)),
+    "prescribe-ricci": (("psi",), ("psi", "h_expression"), ("psi", "h_path"), ("psi", "path")),
+}
+
 DELETE = object()
 VALUES = (
     DELETE, None, True, "x", "", math.nan, math.inf, -math.inf, 0, -1, 8.5, 12.0,
-    [], {}, [1.0], {"kind": "flat"}, {"a": 1},
+    [], {}, [1.0], {"kind": "flat"}, {"a": 1}, FIELD, METRIC,
 )
+
+
+def _with_files(value, files: dict):
+    """``value`` with each field-file marker replaced by its path."""
+    if isinstance(value, dict):
+        return {k: _with_files(v, files) for k, v in value.items()}
+    return files[value] if value is FIELD or value is METRIC else value
 
 
 def _mutate(config: dict, path: tuple, value) -> None:
@@ -75,23 +107,29 @@ def _mutate(config: dict, path: tuple, value) -> None:
         node[path[-1]] = copy.deepcopy(value)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(
-    task=st.sampled_from(["solve", "sweep", "gauduchon", "report", "prescribe-ricci"]),
-    mutations=st.lists(
-        st.tuples(st.sampled_from(PATHS), st.sampled_from(VALUES)), min_size=1, max_size=3
-    ),
-)
-def test_fuzzed_config_succeeds_or_fails_typed(task, mutations):
-    config = copy.deepcopy(BASE)
+def _case(task):
+    config = st.fixed_dictionaries({**BASE, **OWN[task]})
+    paths = st.sampled_from(PATHS + OWN_PATHS[task])
+    mutations = st.lists(st.tuples(paths, st.sampled_from(VALUES)), min_size=1, max_size=3)
+    return st.tuples(st.just(task), config, mutations)
+
+
+# Most runs end in a config check; at 300 examples every task still
+# writes a summary in a few of them.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.sampled_from(sorted(OWN)).flatmap(_case))
+def test_fuzzed_config_succeeds_or_fails_typed(case):
+    task, config, mutations = case
     with tempfile.TemporaryDirectory() as tmp:
-        # The report task reads phi from a file; a mutation may replace the
-        # path or point the config at a different grid.
-        phi = Path(tmp, "phi.field")
-        serialize(random_trig_field(GridSpec(2, 8), np.random.default_rng(5), amplitude=0.01), phi)
-        config["phi"]["path"] = str(phi)
+        # A mutation may name a field file under any path, or point the
+        # config at a different grid.
+        files = {FIELD: str(Path(tmp, "phi.field")), METRIC: str(Path(tmp, "g.field"))}
+        grid = GridSpec(2, 8)
+        serialize(random_trig_field(grid, np.random.default_rng(5), amplitude=0.01), files[FIELD])
+        serialize(identity_metric(grid), files[METRIC])
+        config = _with_files(config, files)
         for path, value in mutations:
-            _mutate(config, path, value)
+            _mutate(config, path, _with_files(value, files))
         cfg = Path(tmp, "config.json")
         cfg.write_text(json.dumps(config))
         out = Path(tmp, "out")

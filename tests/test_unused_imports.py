@@ -1,14 +1,14 @@
 """Every name a module of the package imports is used in that module,
-every private helper is used by the package, and every name the package
-exports exists.
+every top-level name of the package is used by the package or exported,
+and every name the package exports exists.
 
 Standard library only: each module is parsed with ``ast``, the names its
 import statements bind are collected, and each must be read somewhere in
 the module. A name listed in the module's ``__all__`` is a re-export and
 counts as used; ``from __future__`` imports bind nothing. A top-level
-function or class whose name starts with ``_`` must be named by some
-other top-level statement of the package, so a helper that only the
-tests still call is flagged.
+function, class or assignment must be named by some other top-level
+statement of the package or by the package's ``__all__``, so a helper or
+a constant that only the tests still use is flagged.
 """
 
 import ast
@@ -85,27 +85,39 @@ def _referenced_names(node: ast.AST) -> set:
     return out
 
 
-def orphaned_private_helpers(sources: dict) -> list:
-    """``module: name`` of each top-level ``_`` function or class in
-    ``sources`` (module name -> source) that no other top-level statement
-    of any module names."""
+def _defined_names(stmt: ast.stmt) -> list:
+    """Names a top-level statement defines, dunder names aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("__")]
+
+
+def orphaned_names(sources: dict, exported=()) -> list:
+    """``module: name`` of each top-level function, class or assignment
+    in ``sources`` (module name -> source) that no other top-level
+    statement of any module names and that is not in ``exported``."""
     statements = [
         (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
     ]
     names = [_referenced_names(stmt) for _, stmt in statements]
     orphans = []
     for k, (module, stmt) in enumerate(statements):
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name.startswith("_") and not stmt.name.startswith("__"):
-            if not any(stmt.name in used for j, used in enumerate(names) if j != k):
-                orphans.append(f"{module}: {stmt.name}")
+        for name in _defined_names(stmt):
+            if name in exported:
+                continue
+            if not any(name in used for j, used in enumerate(names) if j != k):
+                orphans.append(f"{module}: {name}")
     return sorted(orphans)
 
 
 def test_every_private_helper_is_used_by_the_package():
     sources = {path.name: path.read_text() for path in MODULES}
-    assert orphaned_private_helpers(sources) == []
+    assert orphaned_names(sources, matorus.__all__) == []
 
 
 def test_guard_flags_an_orphaned_private_helper():
@@ -120,10 +132,30 @@ def test_guard_flags_an_orphaned_private_helper():
             "def public():\n"
             "    return _used()\n"
         ),
-        "b.py": "from .a import _imported\n",
+        "b.py": "from .a import _imported\nfrom .a import public\n",
         "c.py": "def _imported():\n    pass\n",
     }
-    assert orphaned_private_helpers(sources) == ["a.py: _Orphan", "a.py: _recursive"]
+    assert orphaned_names(sources) == ["a.py: _Orphan", "a.py: _recursive"]
+
+
+def test_guard_flags_an_orphaned_public_name():
+    sources = {
+        "a.py": (
+            "TOL = 1e-12\n"
+            "LIMIT: int = 3\n"
+            "UNUSED = 2\n"
+            "__version__ = '0'\n"
+            "def helper():\n"
+            "    return TOL * LIMIT\n"
+            "def exported():\n"
+            "    pass\n"
+            "class Orphan:\n"
+            "    pass\n"
+        ),
+    }
+    assert orphaned_names(sources, exported=["exported"]) == [
+        "a.py: Orphan", "a.py: UNUSED", "a.py: helper",
+    ]
 
 
 def test_every_exported_name_resolves():
