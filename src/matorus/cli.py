@@ -30,7 +30,7 @@ import numpy as np
 from .chern import prescribe_ricci
 from .errors import ConfigError, GridMismatchError, MatorusError
 from .estimates import report as estimate_report
-from .estimates import sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
+from .estimates import report_rows, sweep, sweep_csv_rows, SWEEP_CSV_COLUMNS
 from .fieldio import _write_atomic, serialize
 from .geometry import _weight_image, defects, ricci_form
 from .grid import (
@@ -323,11 +323,7 @@ def _task_report(cfg: RunConfig, out: str) -> dict:
         residual_history=[],
     )
     rep = estimate_report(g, result)
-    rows = []
-    for alpha, r in sorted(rep.R_alpha.items()):
-        for a, ca in sorted(rep.fitted_A_C):
-            rows.append({"alpha": repr(alpha), "R_alpha": repr(r), "A": repr(a), "C_A": repr(ca)})
-    _write_csv(os.path.join(out, "report.csv"), ["alpha", "R_alpha", "A", "C_A"], rows)
+    _write_csv(os.path.join(out, "report.csv"), ["alpha", "R_alpha", "A", "C_A"], report_rows(rep))
     return {"task": "report", "report": rep.as_json_dict(), "csv_file": "report.csv"}
 
 

@@ -175,8 +175,19 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
+def report_rows(rep: EstimateReport) -> list:
+    """The (alpha, R_alpha, A, C_A) rows of a report, one per (alpha, A),
+    in sorted order; the values are reprs."""
+    return [
+        {"alpha": repr(alpha), "R_alpha": repr(r), "A": repr(a), "C_A": repr(c)}
+        for alpha, r in sorted(rep.R_alpha.items())
+        for a, c in sorted(rep.fitted_A_C)
+    ]
+
+
 def sweep_csv_rows(entries) -> list:
-    """Long-format rows, one per (s, alpha, A); deterministic ordering.
+    """Long-format rows, one per (s, alpha, A): the ``report_rows`` of
+    each scale with its per-scale columns; deterministic ordering.
 
     Error entries produce a single row with only the s and error columns.
     """
@@ -186,24 +197,15 @@ def sweep_csv_rows(entries) -> list:
             rows.append({"s": repr(e.scale), "error": e.error})
             continue
         rep = e.report
-        for alpha in sorted(rep.R_alpha):
-            for a, c in sorted(rep.fitted_A_C):
-                rows.append(
-                    {
-                        "s": repr(e.scale),
-                        "alpha": repr(alpha),
-                        "R_alpha": repr(rep.R_alpha[alpha]),
-                        "A": repr(a),
-                        "C_A": repr(c),
-                        "sup_tr": repr(rep.sup_tr),
-                        "osc_phi": repr(rep.osc_phi),
-                        "C1": repr(rep.C1),
-                        "levelset_measure": repr(rep.levelset_measure),
-                        "L1_phi": repr(rep.L1_phi),
-                        "Q_max": repr(rep.Q_max),
-                        "b": repr(e.result.b),
-                        "error": "",
-                    }
-                )
+        per_scale = {
+            "sup_tr": repr(rep.sup_tr),
+            "osc_phi": repr(rep.osc_phi),
+            "C1": repr(rep.C1),
+            "levelset_measure": repr(rep.levelset_measure),
+            "L1_phi": repr(rep.L1_phi),
+            "Q_max": repr(rep.Q_max),
+            "b": repr(e.result.b),
+            "error": "",
+        }
+        rows += [{"s": repr(e.scale), **row, **per_scale} for row in report_rows(rep)]
     return rows
-

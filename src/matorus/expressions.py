@@ -6,8 +6,9 @@ grid coordinates x1, y1, ..., xn, yn (with rational or pi-multiple
 coefficients). Coordinates are only allowed inside those arguments, which
 keeps sampled fields periodic when frequencies are integer multiples of
 2*pi. No nested transcendentals, no attribute access, no names beyond the
-coordinates and pi. Constants must fit a double, and constant arithmetic
-must not fail. One walk of the tree checks each node as it evaluates it.
+coordinates and pi. Constants must fit a double, constant arithmetic
+must not fail, and the sampled field must be finite at every grid point.
+One walk of the tree checks each node as it evaluates it.
 
 Examples:
     "0.5*cos(2*pi*x1)"                        accepted
@@ -15,6 +16,7 @@ Examples:
     "exp(cos(x1))"                            rejected (nested call)
     "x1*cos(2*pi*x1)"                         rejected (coordinate outside a call)
     "0/0*cos(2*pi*x1)"                        rejected (division by zero)
+    "exp(1000)*cos(2*pi*x1)"                  rejected (not finite)
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import ExpressionError, GridMismatchError
 from .grid import GridSpec, ScalarField
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -91,10 +93,14 @@ def _walk(node: ast.AST, coords: dict, in_call: bool) -> tuple:
 def sample_expression(text: str, grid: GridSpec) -> ScalarField:
     """The real field of the expression ``text`` on ``grid``."""
     try:
-        vals, _ = _walk(ast.parse(text, mode="eval").body, grid.coordinates(), False)
+        with np.errstate(all="ignore"):  # the field check below catches inf and nan
+            vals, _ = _walk(ast.parse(text, mode="eval").body, grid.coordinates(), False)
     except (SyntaxError, ValueError) as exc:  # ValueError: a null byte before 3.12
         raise ExpressionError(f"syntax error in expression: {exc}") from exc
     except RecursionError as exc:
         raise ExpressionError("expression is nested too deeply") from exc
     vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), grid.shape).copy()
-    return ScalarField(grid, vals)
+    try:
+        return ScalarField(grid, vals)
+    except GridMismatchError as exc:  # the shape is the grid's: a value is not finite
+        raise ExpressionError(f"expression '{text}' is not finite on the grid") from exc

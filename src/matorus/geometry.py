@@ -293,11 +293,3 @@ def wedge_integral(a: HermitianField, b: HermitianField) -> float:
     if a.grid != b.grid:
         raise GridMismatchError("forms live on different grids")
     return float(np.mean(pair_density(a, b)) / 2.0)
-
-
-def form_norm_sq(a: HermitianField, g: HermitianField) -> ScalarField:
-    """Pointwise squared norm of a (1,1)-form in the metric g."""
-    ginv = inverse(g)
-    m = np.einsum("...ij,...jk->...ik", ginv, a.values)
-    val = np.einsum("...ij,...ji->...", m, m).real
-    return ScalarField(g.grid, val)

@@ -12,22 +12,28 @@ solves the bordered system [laplacian, -1; mean, 0] for a correction of
 zero grid mean and the change of b, by ``linsolve.solve_constrained``
 with the ``laplacian`` kernel and the planes of adj(g') / det g' of the
 solution metric g' (``linsolve.laplacian_planes``). Newton holds g' as
-its n^2 real planes (``grid._planes``), and one pass of ``grid._adjugate``
-per iterate gives both det g', for the log residual, and adj(g'), for
-the planes. The solve also returns the Hessian planes of the correction,
-from its preconditioner's last pass, so each line-search trial adds the
-two plane by plane. The equation is invariant under constant shifts of
-phi, so no correction is spent on the constant of the start; on output
-phi is re-normalized to sup phi = 0, which leaves b unchanged. That is
-the only normalization: the Gauduchon metric enters the estimates, not
-the gauge of the Newton step.
+its n^2 real planes (``grid._planes``): the start's are those of g plus
+the Hessian planes of phi (``grid._hessian_planes``), with no complex
+matrix, and one pass of ``grid._adjugate`` per iterate gives both det g',
+for the log residual, and adj(g'), for the planes. The solve also
+returns the Hessian planes of the correction, from its preconditioner's
+last pass, so each line-search trial adds the two plane by plane. The
+equation is invariant under constant shifts of phi, so no correction is
+spent on the constant of the start; on output phi is re-normalized to
+sup phi = 0, which leaves b unchanged. That is the only normalization:
+the Gauduchon metric enters the estimates, not the gauge of the Newton
+step.
 
 The continuity driver marches t from 0 to 1 on the right-hand sides t*F,
-warm-starting each Newton solve from the previous step. The first step is
-``t_step_initial``, by default 1: the first attempt is one damped Newton
-solve at t = 1, which on smooth data reaches the solution, since the
-positivity line search keeps every iterate admissible (Deuflhard, Newton
-Methods for Nonlinear Problems, Springer 2004, ch. 5). The march is the
+warm-starting each Newton solve from the previous step. It hands its
+start to ``newton_solve``, the only code that checks a start, so a start
+that is not positive (or not finite) ends the solve with
+``NotPositiveError`` on its first attempt; the march retries only the
+failures of Newton itself. The first step is ``t_step_initial``, by
+default 1: the first attempt is one damped Newton solve at t = 1, which
+on smooth data reaches the solution, since the positivity line search
+keeps every iterate admissible (Deuflhard, Newton Methods for Nonlinear
+Problems, Springer 2004, ch. 5). The march is the
 fallback: the step halves after each rejected attempt (recorded in
 ``SolveResult.rejected``, so a failed first attempt is (1.0, code) and t =
 0.5 comes next) and doubles after each accepted one, clipped at 1 - t.
@@ -93,7 +99,9 @@ from .grid import (
     ScalarField,
     _adjugate,
     _eigmin_grid,
+    _hessian_planes,
     _planes,
+    _rfftn,
     complex_hessian,
     det,
     resample,
@@ -192,7 +200,7 @@ def newton_solve(
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
 
     logdet_g = np.log(det(g))
-    gp = [a + b for a, b in zip(_planes(g.values), _planes(complex_hessian(phi, grid)))]
+    gp = [a + h for a, h in zip(_planes(g.values), _hessian_planes(_rfftn(phi), grid))]
     emin_cur = float(_eigmin_grid(gp).min())
     if not emin_cur > 0.0:
         raise NotPositiveError(
@@ -271,32 +279,21 @@ def continuity_solve(
     initial: tuple | None = None,
 ) -> SolveResult:
     """March the family log det(g + Hess phi_t) - log det g = t F + b_t
-    from t = 0 to t = 1 with adaptive steps and warm starts."""
+    from t = 0 to t = 1 with adaptive steps and warm starts. ``initial``
+    is checked by ``newton_solve`` alone, whose ``NotPositiveError`` the
+    march does not retry."""
     config = config or SolverConfig()
-    grid = g.grid
     g = g.as_metric()
-
-    if initial is None:
-        phi, b = np.zeros(grid.shape), 0.0
-    else:
-        phi0, b = initial
-        phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
-        emin0 = float(_eigmin_grid(_planes(g.values + complex_hessian(phi, grid))).min())
-        if emin0 <= 0.0:
-            raise NotPositiveError(
-                f"initial iterate is not positive-admissible: min eigenvalue {emin0:.3e}"
-            )
-
     trace = []
     rejected = []
-    last = None
+    start = initial
     t, step = 0.0, config.t_step_initial
     while t < 1.0:
         t_next = 1.0 if t + step >= 1.0 - 1e-12 else t + step
-        target = ScalarField(grid, t_next * F.values)
+        target = ScalarField(g.grid, t_next * F.values)
         try:
-            last = newton_solve(g, target, config, initial=(phi, b), t_label=t_next)
-        except (MaxItersExceeded, PositivityLost, LinearSolverStalled, NotPositiveError) as exc:
+            last = newton_solve(g, target, config, initial=start, t_label=t_next)
+        except (MaxItersExceeded, PositivityLost, LinearSolverStalled) as exc:
             rejected.append((t_next, exc.code))
             step *= 0.5
             if step < config.t_step_min:
@@ -305,19 +302,12 @@ def continuity_solve(
                     rejected=rejected,
                 ) from exc
             continue
-        phi, b = last.phi.values, last.b
+        start = (last.phi.values, last.b)
         trace.extend(last.t_trace)
         t = t_next
         step = 2.0 * step
 
-    return SolveResult(
-        phi=last.phi,
-        b=last.b,
-        t_trace=trace,
-        min_eigen_gprime=last.min_eigen_gprime,
-        residual_history=last.residual_history,
-        rejected=rejected,
-    )
+    return replace(last, t_trace=trace, rejected=rejected)
 
 
 # Failures of a solve that the continuation may still get past.

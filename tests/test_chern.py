@@ -3,6 +3,7 @@ import pytest
 
 from matorus.chern import closedness_defect, constraint_integral, prescribe_ricci
 from matorus.errors import ConstraintViolated, GridMismatchError, NotClosedError
+from matorus.expressions import sample_expression
 from matorus.geometry import gauduchon_metric, ricci_form
 from matorus.grid import (
     GridSpec,
@@ -14,6 +15,7 @@ from matorus.grid import (
     integrate,
     measure_weights,
 )
+from matorus.problems import metric_from_spec
 from conftest import conformal_metric, count_weight_solves
 from random_fields import random_trig_field
 
@@ -163,6 +165,22 @@ class TestPrescribe:
         res = prescribe_ricci(g, psi)
         assert res.final_ricci_error < 1e-6
         assert res.a_l2_norm < 1e-8
+
+    def test_a_l2_norm_of_a_constant_anti_self_dual_form(self):
+        # On a conformal background g_G is a constant multiple of the flat
+        # metric, so the constant eps*diag(1, -1) pairs to zero with it:
+        # shifting psi by it leaves the constraint and f, and a becomes
+        # -eps*diag(1, -1), whose L2 norm in g_G is sqrt(2)*eps.
+        grid = GridSpec(2, 12)
+        g = metric_from_spec(
+            grid, {"kind": "conformal", "h": "0.2*cos(2*pi*x2) + 0.1*sin(2*pi*y1)"}
+        )
+        h = sample_expression("0.1*cos(2*pi*x1) + 0.05*sin(2*pi*y2)", grid)
+        eps = 1e-3
+        asd = np.broadcast_to(np.diag([eps, -eps]).astype(complex), grid.shape + (2, 2))
+        psi = HermitianField(grid, manufactured_psi(grid, g, h.values).values + asd)
+        res = prescribe_ricci(g, psi)
+        assert res.a_l2_norm == pytest.approx(np.sqrt(2.0) * eps, rel=1e-12)
 
     def test_constraint_violation_rejected(self, background):
         grid, g, g_g = background

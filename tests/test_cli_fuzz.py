@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matorus.cli import main
@@ -84,7 +84,7 @@ OWN_PATHS = {
 DELETE = object()
 VALUES = (
     DELETE, None, True, "x", "", math.nan, math.inf, -math.inf, 0, -1, 8.5, 12.0,
-    [], {}, [1.0], {"kind": "flat"}, {"a": 1}, FIELD, METRIC,
+    [], {}, [1.0], {"kind": "flat"}, {"a": 1}, FIELD, METRIC, "exp(1000)*cos(2*pi*x1)",
 )
 
 
@@ -115,9 +115,16 @@ def _case(task):
 
 
 # Most runs end in a config check; at 300 examples every task still
-# writes a summary in a few of them.
+# writes a summary in a few of them. The explicit example puts an
+# expression that overflows on the grid where the right-hand side is read.
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=st.sampled_from(sorted(OWN)).flatmap(_case))
+@example(case=(
+    "solve",
+    {"grid": {"complex_dim": 2, "points_per_axis": 8}, "metric": {"kind": "flat"},
+     "rhs": {"expression": "0.4*cos(2*pi*x1)"}},
+    [(("rhs", "expression"), "exp(1000)*cos(2*pi*x1)")],
+))
 def test_fuzzed_config_succeeds_or_fails_typed(case):
     task, config, mutations = case
     with tempfile.TemporaryDirectory() as tmp:

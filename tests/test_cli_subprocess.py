@@ -20,7 +20,8 @@ GRID = {"complex_dim": 2, "points_per_axis": 8}
 
 
 def run_child(tmp_path, task, cfg, blas_threads="1"):
-    """(exit status, last stdout line as JSON or None, output directory)."""
+    """(exit status, last stdout line as JSON or None, output directory,
+    stderr)."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / f"{task}.json"
     path.write_text(json.dumps(cfg))
@@ -34,7 +35,7 @@ def run_child(tmp_path, task, cfg, blas_threads="1"):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     lines = proc.stdout.splitlines()
-    return proc.returncode, (json.loads(lines[-1]) if lines else None), out
+    return proc.returncode, (json.loads(lines[-1]) if lines else None), out, proc.stderr
 
 
 def _conformal(h, rhs="0.1*cos(2*pi*x1)"):
@@ -59,7 +60,7 @@ EXTREMES = {
 @pytest.mark.parametrize("case", sorted(EXTREMES))
 def test_extreme_finite_input_is_a_typed_error(tmp_path, case):
     task, cfg, code = EXTREMES[case]
-    rc, line, out = run_child(tmp_path, task, cfg)
+    rc, line, out, _ = run_child(tmp_path, task, cfg)
     assert rc == 1
     assert line["error"]["type"] == code
     assert not (out / "summary.json").exists()
@@ -69,13 +70,26 @@ def test_extreme_finite_input_is_a_typed_error(tmp_path, case):
         assert line["error"]["worst_point"] == [0, 0, 0, 0]
 
 
+def test_non_finite_expression_is_an_expression_error(tmp_path):
+    # exp(1000) overflows on every grid point; numpy's overflow warning is
+    # not printed, the expression is named in the error instead.
+    rhs = "exp(1000)*cos(2*pi*x1)"
+    cfg = {"grid": GRID, "metric": {"kind": "flat"}, "rhs": {"expression": rhs}}
+    rc, line, out, stderr = run_child(tmp_path, "solve", cfg)
+    assert rc == 1
+    assert line["error"]["type"] == "expression_error"
+    assert rhs in line["error"]["message"]
+    assert "RuntimeWarning" not in stderr
+    assert not (out / "summary.json").exists()
+
+
 def test_sweep_records_an_overflowing_scale_as_a_failed_entry(tmp_path):
     # A sweep records each scale that fails and ends normally.
     cfg = {
         "grid": GRID, "metric": {"kind": "flat"}, "rhs": {"expression": "cos(2*pi*x1)"},
         "scales": [1e300],
     }
-    rc, _, out = run_child(tmp_path, "sweep", cfg)
+    rc, _, out, _ = run_child(tmp_path, "sweep", cfg)
     assert rc == 0
     [entry] = json.loads((out / "summary.json").read_text())["entries"]
     assert entry["error"].startswith("continuation_stalled:")
@@ -93,7 +107,7 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     }
     artifacts = []
     for threads in ("1", "2"):
-        rc, _, out = run_child(tmp_path / threads, "solve", cfg, blas_threads=threads)
+        rc, _, out, _ = run_child(tmp_path / threads, "solve", cfg, blas_threads=threads)
         assert rc == 0
         artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(artifacts[0]) == ["phi.field", "summary.json"]

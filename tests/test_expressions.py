@@ -67,6 +67,9 @@ def test_unary_minus(grid):
         "sin 2*pi",                 # syntax error
         pytest.param("1" + "0" * 400 + "*cos(2*pi*x1)", id="401-digit-constant"),
         "0/0*cos(2*pi*x1)",         # constant division by zero
+        "exp(1000)*cos(2*pi*x1)",   # overflows
+        "cos(2*pi*x1)/0",           # divides by zero on the grid
+        "1e308*10*cos(2*pi*x1)",    # constant arithmetic overflows to inf
     ],
 )
 def test_rejections(grid, bad):

@@ -5,7 +5,6 @@ from matorus.errors import GridMismatchError
 from matorus.geometry import (
     canonical_laplacian,
     defects,
-    form_norm_sq,
     gauduchon_metric,
     gauduchon_residual,
     gauduchon_weight,
@@ -294,12 +293,6 @@ class TestWedge:
         g = identity_metric(grid)
         with pytest.raises(GridMismatchError):
             pair_density(g, g)
-
-    def test_form_norm_positive(self, grid8, rng):
-        g = random_metric(grid8, rng)
-        a = HermitianField(grid8, complex_hessian(
-            random_trig_field(grid8, rng, amplitude=0.1).values, grid8))
-        assert np.min(form_norm_sq(a, g).values) > -1e-14
 
 
 class TestPartsIdentity:

@@ -202,17 +202,17 @@ class TestNewton:
 
     def test_correction_hessian_comes_from_the_krylov_solve(self, grid8, rng, monkeypatch):
         # The Hessian planes of each correction come back with the Krylov
-        # solve's answer; only the start is differentiated.
+        # solve's answer; only the start is differentiated, plane by plane.
         from matorus import solver
 
         calls = []
-        original = solver.complex_hessian
+        original = solver._hessian_planes
 
-        def counted(values, grid):
+        def counted(spec, grid):
             calls.append(1)
-            return original(values, grid)
+            return original(spec, grid)
 
-        monkeypatch.setattr(solver, "complex_hessian", counted)
+        monkeypatch.setattr(solver, "_hessian_planes", counted)
         g = metric_from_spec(grid8, {"kind": "kaehler_perturbation", "f": "0.01*cos(2*pi*x1)"})
         F = random_trig_field(grid8, rng, amplitude=0.5, bandwidth=1)
         res = newton_solve(g, F)
@@ -397,6 +397,24 @@ class TestContinuity:
         assert "not finite" in str(exc.value)
         # One admissibility check of the start and one trial per attempt.
         assert len(trials) == 2 * len(rejected)
+
+    @pytest.mark.parametrize("start", ["nan", "indefinite"])
+    def test_start_that_is_not_positive_ends_the_solve_at_once(self, grid8, start, monkeypatch):
+        # newton_solve is the only start check, and the march does not
+        # retry its NotPositiveError: one attempt, then the error.
+        from matorus import solver
+
+        calls = []
+        real = solver.newton_solve
+        monkeypatch.setattr(solver, "newton_solve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        if start == "nan":
+            phi = np.zeros(grid8.shape)
+            phi[0, 0, 0, 0] = np.nan
+        else:
+            phi = sample(grid8, lambda c: 5.0 * np.cos(2 * np.pi * c["x1"])).values
+        with pytest.raises(NotPositiveError, match="initial iterate is not positive-admissible"):
+            continuity_solve(identity_metric(grid8), constant_field(grid8), initial=(phi, 0.0))
+        assert len(calls) == 1
 
     def test_trace_records_path(self, grid8, rng):
         g = identity_metric(grid8)
