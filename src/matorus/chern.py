@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, GridMismatchError, NotClosedError
 from .geometry import antisymmetric_pairs, gauduchon_metric, ricci_form, wedge_integral
-from .grid import HermitianField, ScalarField, _adjugate, _planes, complex_hessian, det
+from .grid import HermitianField, ScalarField, _adjugate, _det, ddbar, det
 from .linsolve import _contract, laplacian, laplacian_planes, solve_constrained
 from .solver import SolverConfig, SolveResult, continuity_solve
 
@@ -100,10 +100,11 @@ def prescribe_ricci(
     g_g, _, _ = gauduchon_metric(g)
 
     diff = _ricci_defect(g, psi)
-    adj, det_g = _adjugate(_planes(g_g.values))
+    adj = _adjugate(g_g.planes)
+    det_g = _det(g_g.planes, adj)
     # pair_density(g_G, .), the mixed determinant, symmetric in its two forms
     pairing = laplacian_planes(adj, 1)
-    density = _contract(pairing, _planes(diff.values), grid)
+    density = _contract(pairing, diff.planes, grid)
     c = float(np.mean(density) / 2.0)  # constraint_integral(g, psi, g_G)
     if abs(c) > _CONSTRAINT_TOL:
         raise ConstraintViolated(
@@ -121,10 +122,8 @@ def prescribe_ricci(
     f_vals = f_vals - (det_g / det_g.sum() * f_vals).sum()
     f = ScalarField(grid, f_vals)
 
-    a = HermitianField(
-        grid, diff.values - complex_hessian(f_vals, grid) / (2.0 * np.pi)
-    )
-    pair_a = _contract(pairing, _planes(a.values), grid)
+    a = diff - ddbar(f).scaled(1.0 / (2.0 * np.pi))
+    pair_a = _contract(pairing, a.planes, grid)
     asd_residual = float(np.max(np.abs(pair_a)) / 2.0)
     # |a|^2_G det g_G, clipped at 0 against rounding
     norm_sq = np.maximum(pair_a * pair_a / det_g - 2.0 * det(a), 0.0)
@@ -132,8 +131,8 @@ def prescribe_ricci(
 
     solve = continuity_solve(g, f, config)
 
-    gp = HermitianField(grid, g.values + complex_hessian(solve.phi.values, grid), metric=True)
-    final_err = float(np.max(np.abs(ricci_form(gp).values - psi.values)))
+    gp = (g + ddbar(solve.phi)).as_metric()
+    final_err = float(np.max(np.abs((ricci_form(gp) - psi).values)))
 
     return PrescriptionResult(
         constraint_value=c,

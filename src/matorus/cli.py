@@ -37,7 +37,7 @@ from .grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    complex_hessian,
+    ddbar,
     min_eigenvalue,
 )
 from .jets import run_identity_fuzz
@@ -287,10 +287,7 @@ def _task_prescribe(cfg: RunConfig, out: str) -> dict:
         _require(isinstance(psi, HermitianField), "'psi.path' must hold a matrix field")
     else:
         h = real_scalar_from_spec(cfg.grid, psi_spec, key, "psi")
-        ric = ricci_form(g)
-        psi = HermitianField(
-            cfg.grid, ric.values - complex_hessian(h.values, cfg.grid) / (2.0 * np.pi)
-        )
+        psi = ricci_form(g) - ddbar(h).scaled(1.0 / (2.0 * np.pi))
     res = prescribe_ricci(g, psi, cfg.solver)
     serialize(res.f, os.path.join(out, "f.field"))
     serialize(res.solve.phi, os.path.join(out, "phi.field"))
@@ -314,12 +311,11 @@ def _task_report(cfg: RunConfig, out: str) -> dict:
     g = metric_from_spec(cfg.grid, cfg.metric_spec)
     phi = real_scalar_from_spec(cfg.grid, phi_spec, "path", "phi")
     shift = float(phi.values.max())
-    gprime = HermitianField(cfg.grid, g.values + complex_hessian(phi.values, cfg.grid))
     result = SolveResult(
         phi=ScalarField(cfg.grid, phi.values - shift),
         b=float(b),
         t_trace=[],
-        min_eigen_gprime=min_eigenvalue(gprime)[0],
+        min_eigen_gprime=min_eigenvalue(g + ddbar(phi))[0],
         residual_history=[],
     )
     rep = estimate_report(g, result)

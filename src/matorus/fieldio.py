@@ -60,10 +60,8 @@ def serialize(fld, path) -> None:
     kind = _kind_of(fld)
     grid = fld.grid
     header = _HEADER.pack(MAGIC, VERSION, grid.complex_dim, grid.points_per_axis, kind)
-    if kind == KIND_SCALAR_REAL:
-        payload = np.ascontiguousarray(fld.values, dtype="<f8").tobytes()
-    else:
-        payload = np.ascontiguousarray(fld.values, dtype="<c16").tobytes()
+    dtype = "<f8" if kind == KIND_SCALAR_REAL else "<c16"
+    payload = np.ascontiguousarray(fld.values, dtype=dtype).tobytes()
     _write_atomic(path, header + payload)
 
 

@@ -64,12 +64,13 @@ from .grid import (
     HermitianField,
     ScalarField,
     _adjugate,
+    _det,
+    _entry,
     _fftn,
     _holo_symbols,
     _ifftn,
-    _planes,
-    complex_hessian,
     constant_field,
+    ddbar,
     det,
     integrate,
     inverse,
@@ -104,7 +105,7 @@ def antisymmetric_pairs(g: HermitianField):
     n = grid.complex_dim
     sig = _holo_symbols(grid)
     for l in range(n):
-        spec = [_fftn(g.values[..., i, l]) for i in range(n)]
+        spec = [_fftn(_entry(g.planes, i, l)) for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 yield i, j, l, _ifftn(sig[i] * spec[j]) - _ifftn(sig[j] * spec[i])
@@ -138,8 +139,7 @@ class MetricDefects:
 def weight_planes(g: HermitianField) -> tuple:
     """Coefficient planes of the weight operator M(v) = d dbar (v omega^{n-1})
     of g, the planes of (n-1)! adj(g), for ``laplacian_adjoint``."""
-    adj = _adjugate(_planes(g.values))[0]
-    return laplacian_planes(adj, math.factorial(g.grid.complex_dim - 1))
+    return laplacian_planes(_adjugate(g.planes), math.factorial(g.grid.complex_dim - 1))
 
 
 def gauduchon_residual(g: HermitianField, v: ScalarField) -> float:
@@ -173,8 +173,8 @@ def canonical_laplacian(g: HermitianField, f: ScalarField) -> ScalarField:
     """Laplace operator of the canonical connection, trace(G^-1 Hess f)."""
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    adj, d = _adjugate(_planes(g.values))
-    planes = laplacian_planes(adj, 1.0 / d)
+    adj = _adjugate(g.planes)
+    planes = laplacian_planes(adj, 1.0 / _det(g.planes, adj))
     return ScalarField(f.grid, laplacian(planes, f.values, f.grid))
 
 
@@ -187,9 +187,8 @@ def trace_pair(g: HermitianField, gprime: HermitianField) -> tuple:
 
 def ricci_form(g: HermitianField) -> HermitianField:
     """First Chern form coefficients of the canonical connection."""
-    logdet = np.log(det(g.as_metric()))
-    h = complex_hessian(logdet, g.grid)
-    return HermitianField(g.grid, -h / (2.0 * np.pi))
+    logdet = ScalarField(g.grid, np.log(det(g.as_metric())))
+    return ddbar(logdet).scaled(-1.0 / (2.0 * np.pi))
 
 
 def gauduchon_weight(g: HermitianField) -> tuple:
@@ -268,8 +267,7 @@ def gauduchon_metric(g: HermitianField) -> tuple:
     """(omega_G, u, v): the distinguished conformal metric e^u g and its
     weight, as in ``gauduchon_weight``."""
     u, v = gauduchon_weight(g)
-    g_g = HermitianField(g.grid, g.values * np.exp(u.values)[..., None, None], metric=True)
-    return g_g, u, v
+    return g.scaled(np.exp(u.values)).as_metric(), u, v
 
 
 def pair_density(a: HermitianField, b: HermitianField) -> np.ndarray:
@@ -280,8 +278,7 @@ def pair_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """
     if a.grid.complex_dim != 2:
         raise GridMismatchError("pair_density is defined for n=2 only")
-    adj = _adjugate(_planes(a.values))[0]
-    return _contract(laplacian_planes(adj, 1), _planes(b.values), a.grid)
+    return _contract(laplacian_planes(_adjugate(a.planes), 1), b.planes, a.grid)
 
 
 def wedge_integral(a: HermitianField, b: HermitianField) -> float:

@@ -32,12 +32,12 @@ on first use; every second-order operator with Hermitian coefficients
 acts on real fields through them and the coefficient planes of
 ``linsolve.laplacian_planes``, the one builder.
 
-Fields are immutable after construction. The pointwise math of a
-Hermitian field m takes one format, its n^2 real planes in the same
-order (``_planes`` views them, ``_hessian_matrix`` assembles m). One
-pass, ``_adjugate``, gives the planes of adj(m) and det m together, for
-``det``, ``inverse`` and every caller that needs either; it and, but at
-n=3, ``_eigmin_grid`` are closed forms in real arithmetic.
+Fields are immutable after construction. A Hermitian field m is stored
+as its n^2 real planes in the same order, and its pointwise math reads
+them; ``HermitianField.values`` assembles m on demand (``_hessian_matrix``,
+entry by entry, ``_entry``). ``_adjugate`` gives the planes of adj(m) and
+``_det`` expands det m from them, in real arithmetic; ``_eigmin_grid`` is
+a closed form at n=2 and takes one grid slab of matrices at a time at n=3.
 Every transform is SciPy's compiled pocketfft kernel, the extension
 ``scipy.fft`` itself calls, loaded from its file (``_load_pocketfft``)
 without importing ``scipy.fft``, whose import loads ``scipy.special`` and
@@ -55,7 +55,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -275,56 +274,67 @@ def constant_field(grid: GridSpec, value: float = 0.0) -> ScalarField:
     return ScalarField(grid, np.full(grid.shape, value, dtype=np.float64))
 
 
+def _sup(arrays) -> float:
+    """max |a| over ``arrays``, one at a time; raises unless it is finite."""
+    s = float(np.max([np.max(np.abs(a)) for a in arrays]))
+    if not np.isfinite(s):
+        raise GridMismatchError("matrix entries must be finite")
+    return s
+
+
 @dataclass(frozen=True)
 class HermitianField:
     """Field of n x n Hermitian matrices (metrics and real (1,1)-forms).
 
     Entry [i, j] holds the coefficient on dz^{i+1} wedge dzbar^{j+1}; a
     metric g corresponds to the form omega = i * sum g_ij dz^i dzbar^j.
-    Matrices are symmetrized on construction after checking Hermiticity to
-    1e-13 relative; ``metric=True`` additionally validates positivity and
-    that det g, the volume form, is a positive normal double.
+    It is stored as its n^2 real planes, read-only, in the order of
+    ``real_hessian_symbols``; ``values`` builds the complex matrices. The
+    planes are given as that tuple, taken over and checked to be finite,
+    or as a complex array of matrices, also checked to be Hermitian to
+    1e-13 relative, and symmetrized. ``metric=True`` additionally checks
+    positivity and that det g, the volume form, is a positive normal double.
     """
 
     grid: GridSpec
-    values: np.ndarray = field(repr=False)
+    planes: tuple = field(repr=False)
     metric: bool = False
 
     def __post_init__(self):
         n = self.grid.complex_dim
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape + (n, n):
-            raise GridMismatchError(
-                f"values shape {v.shape} does not match {self.grid.shape + (n, n)}"
-            )
-        # Entry by entry, so no temporary is larger than one scalar field;
-        # np.max (not Python's max) keeps a NaN entry from being dropped.
-        vmax = float(np.max([np.max(np.abs(v[..., i, j])) for i in range(n) for j in range(n)]))
-        if not np.isfinite(vmax):
-            raise GridMismatchError("matrix entries must be finite")
-        scale = max(vmax, 1.0)
-        # max |v - v^H|: entry (j, i) of v - v^H is minus the conjugate of
-        # entry (i, j), and a diagonal entry is 2i Im v_ii.
-        devs = [2.0 * np.max(np.abs(v[..., i, i].imag)) for i in range(n)]
-        devs += [
-            np.max(np.abs(v[..., i, j] - np.conj(v[..., j, i])))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        dev = float(np.max(devs))
-        if dev > HERMITIAN_RTOL * scale:
-            raise GridMismatchError(
-                f"matrices deviate from Hermitian by {dev:.3e} (relative tolerance {HERMITIAN_RTOL})"
-            )
-        # 0.5 (v + v^H), with each lower entry the conjugate of the upper one
-        out = np.empty(v.shape, dtype=np.complex128)
-        for i in range(n):
-            for j in range(i, n):
-                np.multiply(0.5, v[..., i, j] + np.conj(v[..., j, i]), out=out[..., i, j])
-                if i != j:
-                    np.conjugate(out[..., i, j], out=out[..., j, i])
-        out.setflags(write=False)
-        object.__setattr__(self, "values", out)
+        if isinstance(self.planes, tuple):
+            planes = tuple(np.asarray(p, dtype=np.float64) for p in self.planes)
+            if len(planes) != n * n or any(p.shape != self.grid.shape for p in planes):
+                raise GridMismatchError(
+                    f"a Hermitian field takes {n * n} planes of shape {self.grid.shape}")
+            vmax = _sup(planes)
+        else:
+            v = np.asarray(self.planes, dtype=np.complex128)
+            if v.shape != self.grid.shape + (n, n):
+                raise GridMismatchError(
+                    f"values shape {v.shape} does not match {self.grid.shape + (n, n)}"
+                )
+            # Entry by entry, so no temporary is larger than one scalar field.
+            vmax = _sup(v[..., i, j] for i in range(n) for j in range(n))
+            # max |v - v^H|: entry (j, i) of v - v^H is minus the conjugate of
+            # entry (i, j), and a diagonal entry is 2i Im v_ii.
+            devs = [2.0 * np.max(np.abs(v[..., i, i].imag)) for i in range(n)]
+            devs += [np.max(np.abs(v[..., i, j] - np.conj(v[..., j, i])))
+                     for i in range(n) for j in range(i + 1, n)]
+            dev = float(np.max(devs))
+            if dev > HERMITIAN_RTOL * max(vmax, 1.0):
+                raise GridMismatchError(
+                    f"matrices deviate from Hermitian by {dev:.3e} (relative tolerance {HERMITIAN_RTOL})"
+                )
+            # the planes of 0.5 (v + v^H)
+            planes = [(0.5 * (v[..., i, i] + np.conj(v[..., i, i]))).real.copy() for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    e = 0.5 * (v[..., i, j] + np.conj(v[..., j, i]))
+                    planes += [e.real.copy(), e.imag.copy()]
+        for p in planes:
+            p.setflags(write=False)
+        object.__setattr__(self, "planes", tuple(planes))
         if self.metric:
             emin, point = min_eigenvalue(self)
             if emin <= 0.0:
@@ -339,7 +349,7 @@ class HermitianField:
             if np.log(lo) + 1 < n * np.log(emin) and n * np.log(n * vmax) < np.log(hi) - 1:
                 return
             with np.errstate(over="ignore", invalid="ignore"):
-                d = _adjugate(_planes(out))[1]
+                d = det(self)
                 ok = lo <= d.min() <= d.max() <= hi  # False for NaN too
             if not ok:
                 point = tuple(map(int, np.unravel_index(np.argmin((d >= lo) & (d <= hi)), d.shape)))
@@ -349,82 +359,77 @@ class HermitianField:
                     worst_point=point,
                 )
 
+    @property
+    def values(self) -> np.ndarray:
+        """The exactly Hermitian complex matrices (read-only)."""
+        v = _hessian_matrix(self.planes)
+        v.setflags(write=False)
+        return v
+
     def as_metric(self) -> "HermitianField":
-        return self if self.metric else HermitianField(self.grid, self.values, metric=True)
+        return self if self.metric else HermitianField(self.grid, self.planes, metric=True)
 
     def __add__(self, other):
         if isinstance(other, HermitianField):
-            return HermitianField(self.grid, self.values + other.values)
+            return HermitianField(self.grid, tuple(map(np.add, self.planes, other.planes)))
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, HermitianField):
-            return HermitianField(self.grid, self.values - other.values)
+            return HermitianField(self.grid, tuple(map(np.subtract, self.planes, other.planes)))
         return NotImplemented
 
     def scaled(self, factor) -> "HermitianField":
-        """Scale by a real constant or real ScalarField."""
-        f = factor.values if isinstance(factor, ScalarField) else factor
-        f = np.asarray(f)[..., None, None]
-        return HermitianField(self.grid, self.values * f)
+        """Scale by a real constant or a real array of the grid's shape."""
+        return HermitianField(self.grid, tuple(p * factor for p in self.planes))
 
 
 def identity_metric(grid: GridSpec) -> HermitianField:
     n = grid.complex_dim
-    v = np.broadcast_to(np.eye(n, dtype=np.complex128), grid.shape + (n, n)).copy()
-    return HermitianField(grid, v, metric=True)
-
-
-def _planes(m: np.ndarray) -> tuple:
-    """Views of the real planes of a Hermitian matrix field m, in the order
-    of ``real_hessian_symbols``: m_ii for each i, then Re m_ij and Im m_ij
-    for each i < j. The converse of ``_hessian_matrix``."""
-    n = m.shape[-1]
-    planes = [m[..., i, i].real for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            planes += [m[..., i, j].real, m[..., i, j].imag]
-    return tuple(planes)
+    one, zero = np.ones(grid.shape), np.zeros(grid.shape)
+    return HermitianField(grid, (one,) * n + (zero,) * (n * n - n), metric=True)
 
 
 def _adjugate(p: tuple) -> tuple:
-    """(planes of adj(m), det m) from the planes ``p`` of a Hermitian
-    2 x 2 or 3 x 3 matrix field m, with adj(m) m = det(m) I; adj(m) is
-    Hermitian too, and det m is expanded along the first row,
-    m_00 adj_00 + sum_j Re(m_0j conj(adj_0j))."""
+    """Planes of adj(m), with adj(m) m = det(m) I, from the planes ``p`` of
+    a Hermitian 2 x 2 or 3 x 3 matrix field m."""
     if len(p) == 4:
-        adj = p[1], p[0], -p[2], -p[3]
-    else:
-        # m01 = a + ib, m02 = c + id, m12 = e + if
-        m00, m11, m22, a, b, c, d, e, f = p
-        adj = (
-            m11 * m22 - (e * e + f * f),
-            m00 * m22 - (c * c + d * d),
-            m00 * m11 - (a * a + b * b),
-            e * c + f * d - m22 * a,
-            e * d - f * c - m22 * b,
-            a * e - b * f - m11 * c,
-            a * f + b * e - m11 * d,
-            a * c + b * d - m00 * e,
-            a * d - b * c - m00 * f,
-        )
+        return p[1], p[0], -p[2], -p[3]
+    # m01 = a + ib, m02 = c + id, m12 = e + if
+    m00, m11, m22, a, b, c, d, e, f = p
+    return (
+        m11 * m22 - (e * e + f * f),
+        m00 * m22 - (c * c + d * d),
+        m00 * m11 - (a * a + b * b),
+        e * c + f * d - m22 * a,
+        e * d - f * c - m22 * b,
+        a * e - b * f - m11 * c,
+        a * f + b * e - m11 * d,
+        a * c + b * d - m00 * e,
+        a * d - b * c - m00 * f,
+    )
+
+
+def _det(p: tuple, adj: tuple) -> np.ndarray:
+    """det m from the planes of m and of adj(m) (``_adjugate``), expanded
+    along the first row: m_00 adj_00 + sum_j Re(m_0j conj(adj_0j))."""
     n = math.isqrt(len(p))
     det_m = p[0] * adj[0]
     for k in range(n, 3 * n - 2, 2):
         det_m += p[k] * adj[k] + p[k + 1] * adj[k + 1]
-    return adj, det_m
+    return det_m
 
 
 def det(h: HermitianField) -> np.ndarray:
     """Pointwise determinant (real for Hermitian matrices)."""
-    return _adjugate(_planes(h.values))[1]
+    return _det(h.planes, _adjugate(h.planes))
 
 
 def inverse(h: HermitianField) -> np.ndarray:
     """Pointwise inverse adj(h) / det(h), returned as a raw array."""
-    adj, d = _adjugate(_planes(h.values))
+    adj = _adjugate(h.planes)
     out = _hessian_matrix(adj)
-    out /= d[..., None, None]
+    out /= _det(h.planes, adj)[..., None, None]
     return out
 
 
@@ -434,13 +439,16 @@ def _eigmin_grid(p: tuple) -> np.ndarray:
     if len(p) == 4:
         m00, m11, a, b = p
         return 0.5 * (m00 + m11 - np.sqrt((m00 - m11) ** 2 + 4.0 * (a * a + b * b)))
-    return np.linalg.eigvalsh(_hessian_matrix(p))[..., 0]
+    # one slab of the first grid axis at a time, not the whole grid's matrices
+    emin = np.empty(p[0].shape)
+    for k, slab in enumerate(zip(*p)):
+        emin[k] = np.linalg.eigvalsh(_hessian_matrix(slab))[..., 0]
+    return emin
 
 
 def min_eigenvalue(h: HermitianField) -> tuple:
     """Smallest eigenvalue over the grid and the point where it occurs."""
-    v = h.values  # at n=3 eigvalsh reads the matrices in place
-    emin = _eigmin_grid(_planes(v)) if v.shape[-1] == 2 else np.linalg.eigvalsh(v)[..., 0]
+    emin = _eigmin_grid(h.planes)
     point = tuple(map(int, np.unravel_index(np.argmin(emin), emin.shape)))
     return float(emin[point]), point
 
@@ -462,16 +470,10 @@ def d_antiholo(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, _ifftn(-np.conj(_holo_symbol(f, axis)) * _fftn(f.values)))
 
 
-def complex_hessian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """All entries d_i d_jbar f as an array of shape grid.shape + (n, n).
-
-    Real input takes one real forward transform and n^2 real inverse ones
-    from ``real_hessian_symbols``; the result is exactly Hermitian. Complex
-    input is split into its real and imaginary parts.
-    """
-    if np.iscomplexobj(values):
-        return complex_hessian(values.real, grid) + 1j * complex_hessian(values.imag, grid)
-    return _hessian_matrix(_hessian_planes(_rfftn(values), grid))
+def complex_hessian(values: np.ndarray, grid: GridSpec) -> tuple:
+    """The planes of the complex Hessian d_i d_jbar f of a real field f:
+    one real forward transform and n^2 real inverse ones."""
+    return tuple(_hessian_planes(_rfftn(values), grid))
 
 
 def _hessian_planes(spec: np.ndarray, grid: GridSpec):
@@ -481,20 +483,28 @@ def _hessian_planes(spec: np.ndarray, grid: GridSpec):
     return (_irfftn(symbol * spec, grid.shape) for symbol in real_hessian_symbols(grid))
 
 
-def _hessian_matrix(planes) -> np.ndarray:
+def _entry(p: tuple, i: int, j: int, out=None) -> np.ndarray:
+    """Entry (i, j) of the Hermitian matrix field with planes ``p``, in
+    ``out`` when it is given."""
+    out = np.empty(p[0].shape, dtype=np.complex128) if out is None else out
+    if i == j:
+        out.real, out.imag = p[i], 0.0
+        return out
+    n, a, b = math.isqrt(len(p)), min(i, j), max(i, j)
+    k = n + 2 * (a * (2 * n - a - 1) // 2 + b - a - 1)  # the plane of Re m_ab, a < b
+    out.real = p[k]
+    np.multiply(p[k + 1], 1.0 if i < j else -1.0, out=out.imag)  # conjugate below
+    return out
+
+
+def _hessian_matrix(planes: tuple) -> np.ndarray:
     """The exactly Hermitian matrix field with the given real planes, in
-    the order of ``real_hessian_symbols``, shape grid.shape + (n, n): the
-    converse of ``_planes``. ``planes`` is iterated once; n is half the
-    number of grid axes of its planes."""
-    planes = iter(planes)
-    first = next(planes)
-    n = first.ndim // 2
-    out = np.zeros(first.shape + (n, n), dtype=np.complex128)
-    for view, plane in zip(_planes(out), chain([first], planes)):
-        view[...] = plane
+    the order of ``real_hessian_symbols``, shape grid.shape + (n, n)."""
+    n = math.isqrt(len(planes))
+    out = np.empty(planes[0].shape + (n, n), dtype=np.complex128)
     for i in range(n):
-        for j in range(i + 1, n):
-            np.conjugate(out[..., i, j], out=out[..., j, i])
+        for j in range(n):
+            _entry(planes, i, j, out[..., i, j])
     return out
 
 
@@ -537,11 +547,10 @@ def resample(values: np.ndarray, grid_to: GridSpec) -> np.ndarray:
     """Trigonometric interpolation of grid samples onto ``grid_to``.
 
     ``values`` has the grid axes first (N points each) and any pointwise
-    axes after them, e.g. the matrix entries of a HermitianField; real
-    and imaginary parts are resampled separately by one real matrix per
-    axis (``_resample_matrix``). Exact on trigonometric polynomials of
-    degree < min(N, M)/2 in each variable; restricting what was
-    prolonged returns the input.
+    axes after them; real and imaginary parts are resampled separately,
+    by one real matrix per axis (``_resample_matrix``). Exact on
+    trigonometric polynomials of degree < min(N, M)/2 in each variable;
+    restricting what was prolonged returns the input.
     """
     if np.iscomplexobj(values):
         return resample(values.real, grid_to) + 1j * resample(values.imag, grid_to)

@@ -73,12 +73,11 @@ def metric_from_spec(grid: GridSpec, spec) -> HermitianField:
         return identity_metric(grid)
     if kind == "conformal":
         h = sample_expression(spec_string(spec, "h", "metric"), grid)
-        n = grid.complex_dim
-        vals = np.zeros(grid.shape + (n, n), dtype=np.complex128)
         # An overflow to inf is rejected by the field check below, as grid_mismatch.
         with np.errstate(over="ignore"):
-            vals[..., range(n), range(n)] = np.exp(h.values)[..., None]
-        return HermitianField(grid, vals, metric=True)
+            e = np.exp(h.values)
+        n = grid.complex_dim
+        return HermitianField(grid, (e,) * n + (np.zeros(grid.shape),) * (n * n - n), metric=True)
     if kind == "kaehler_perturbation":
         f = sample_expression(spec_string(spec, "f", "metric"), grid)
         return (identity_metric(grid) + ddbar(f)).as_metric()

@@ -12,10 +12,10 @@ solves the bordered system [laplacian, -1; mean, 0] for a correction of
 zero grid mean and the change of b, by ``linsolve.solve_constrained``
 with the ``laplacian`` kernel and the planes of adj(g') / det g' of the
 solution metric g' (``linsolve.laplacian_planes``). Newton holds g' as
-its n^2 real planes (``grid._planes``): the start's are those of g plus
-the Hessian planes of phi (``grid._hessian_planes``), with no complex
-matrix, and one pass of ``grid._adjugate`` per iterate gives both det g',
-for the log residual, and adj(g'), for the planes. The solve also
+its n^2 real planes, the format of ``HermitianField``: the start's are
+those of g plus the Hessian planes of phi (``grid._hessian_planes``),
+and one pass of ``grid._adjugate`` per iterate gives adj(g'), for the
+planes, and with ``grid._det`` det g', for the log residual. The solve also
 returns the Hessian planes of the correction, from its preconditioner's
 last pass, so each line-search trial adds the two plane by plane. The
 equation is invariant under constant shifts of phi, so no correction is
@@ -98,11 +98,11 @@ from .grid import (
     HermitianField,
     ScalarField,
     _adjugate,
+    _det,
     _eigmin_grid,
     _hessian_planes,
-    _planes,
     _rfftn,
-    complex_hessian,
+    ddbar,
     det,
     resample,
 )
@@ -167,7 +167,7 @@ class SolveResult:
 def ma_log_residual(g: HermitianField, phi: ScalarField, F: ScalarField, b: float) -> ScalarField:
     """log det(g + Hess phi) - log det g - F - b, pointwise; raises
     NotPositiveError at the worst grid point if g + Hess phi is not positive."""
-    gp = HermitianField(g.grid, g.values + complex_hessian(phi.values, g.grid), metric=True)
+    gp = (g + ddbar(phi)).as_metric()
     return ScalarField(g.grid, np.log(det(gp)) - np.log(det(g)) - F.values - b)
 
 
@@ -200,7 +200,7 @@ def newton_solve(
         phi = np.array(phi0.values if isinstance(phi0, ScalarField) else phi0, dtype=np.float64)
 
     logdet_g = np.log(det(g))
-    gp = [a + h for a, h in zip(_planes(g.values), _hessian_planes(_rfftn(phi), grid))]
+    gp = [a + h for a, h in zip(g.planes, _hessian_planes(_rfftn(phi), grid))]
     emin_cur = float(_eigmin_grid(gp).min())
     if not emin_cur > 0.0:
         raise NotPositiveError(
@@ -211,7 +211,8 @@ def newton_solve(
     # it is not validated again.
     history = []
     for _ in range(config.max_newton_iters):
-        adj, det_gp = _adjugate(gp)
+        adj = _adjugate(gp)
+        det_gp = _det(gp, adj)
         residual = np.log(det_gp) - logdet_g - F_target.values - float(b)
         res_norm = float(np.max(np.abs(residual)))
         history.append(res_norm)
@@ -365,8 +366,9 @@ def nested_solve(
 
     def prolonged_coarse_solution():
         nonlocal coarse
+        planes = tuple(resample(p, coarse_grid) for p in g.planes)
         coarse = nested_solve(
-            HermitianField(coarse_grid, resample(g.values, coarse_grid), metric=True),
+            HermitianField(coarse_grid, planes, metric=True),
             ScalarField(coarse_grid, resample(F.values, coarse_grid)),
             config,
         )

@@ -40,7 +40,7 @@ def real_derivatives(f: ScalarField) -> list:
 
 
 def conformal_metric(grid: GridSpec, h: ScalarField) -> HermitianField:
-    return identity_metric(grid).scaled(ScalarField(grid, np.exp(h.values))).as_metric()
+    return identity_metric(grid).scaled(np.exp(h.values)).as_metric()
 
 
 def count_weight_solves(monkeypatch) -> list:

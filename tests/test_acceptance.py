@@ -25,7 +25,7 @@ from matorus.grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    complex_hessian,
+    ddbar,
     det,
     identity_metric,
     min_eigenvalue,
@@ -94,9 +94,7 @@ def test_criterion_01_manufactured_solution():
             2 * np.pi * bx(c["y1"])
         ) + 0.008 * np.cos(2 * np.pi * (bx(c["x2"]) + bx(c["y1"])))
         b_star = -0.2
-        gp_star = HermitianField(
-            grid, g.values + complex_hessian(phi_star, grid), metric=True
-        )
+        gp_star = (g + ddbar(ScalarField(grid, phi_star))).as_metric()
         assert min_eigenvalue(gp_star)[0] > 0.3
         F = ScalarField(grid, np.log(det(gp_star)) - np.log(det(g)) - b_star)
         res = continuity_solve(g, F)
@@ -131,9 +129,7 @@ def test_criterion_04_pointwise_algebra(solve_suite):
     with criterion(4, "trace inequality and n=2 identity pointwise plus fuzz"):
         for g, F, res in solve_suite:
             grid = g.grid
-            gp = HermitianField(
-                grid, g.values + complex_hessian(res.phi.values, grid), metric=True
-            )
+            gp = (g + ddbar(res.phi)).as_metric()
             tr, tr_rev = trace_pair(g, gp)
             ef = np.exp(F.values + res.b)
             rhs = tr_rev.values * ef
@@ -214,9 +210,7 @@ def test_criterion_08_trace_bound_sweep():
         c4 = [dict(e.report.fitted_A_C)[4.0] for e in entries]
         assert max(c4) / min(c4) < 4.0
         for e in entries:
-            gp = HermitianField(
-                grid, g.values + complex_hessian(e.result.phi.values, grid), metric=True
-            )
+            gp = (g + ddbar(e.result.phi)).as_metric()
             tr, _ = trace_pair(g, gp)
             lap = canonical_laplacian(g, e.result.phi)
             assert np.max(np.abs(tr.values - 2.0 - lap.values)) <= 1e-8
@@ -267,7 +261,7 @@ def test_criterion_10_chern_prescription():
         )
         ric = ricci_form(g)
         psi = HermitianField(
-            grid, ric.values - complex_hessian(h_vals, grid) / (2 * np.pi)
+            grid, ric.values - ddbar(ScalarField(grid, h_vals)).values / (2 * np.pi)
         )
         res = prescribe_ricci(g, psi)
         assert abs(res.constraint_value) <= 1e-10
@@ -277,12 +271,10 @@ def test_criterion_10_chern_prescription():
         # curvature transgression identity on random data
         gr = random_metric(grid, rng, amplitude=0.25)
         phi = random_trig_field(grid, rng, amplitude=0.015, bandwidth=1)
-        gp = HermitianField(
-            grid, gr.values + complex_hessian(phi.values, grid), metric=True
-        )
+        gp = (gr + ddbar(phi)).as_metric()
         lhs = ricci_form(gp).values - ricci_form(gr).values
         logratio = np.log(det(gp)) - np.log(det(gr))
-        rhs = -complex_hessian(logratio, grid) / (2.0 * np.pi)
+        rhs = -ddbar(ScalarField(grid, logratio)).values / (2.0 * np.pi)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -292,9 +284,7 @@ def test_criterion_11_linearization_gradient():
         rng = np.random.default_rng(111)
         g = _conformal(grid, amplitude=0.15)
         phi = random_trig_field(grid, rng, amplitude=0.01, bandwidth=1)
-        gp = HermitianField(
-            grid, g.values + complex_hessian(phi.values, grid), metric=True
-        )
+        gp = (g + ddbar(phi)).as_metric()
         F = ScalarField(grid, np.log(det(gp)) - np.log(det(g)))
         base = ma_log_residual(g, phi, F, 0.0)
         eps = 1e-5

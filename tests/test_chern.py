@@ -9,8 +9,8 @@ from matorus.grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    complex_hessian,
     constant_field,
+    ddbar,
     identity_metric,
     integrate,
     measure_weights,
@@ -34,7 +34,7 @@ def background():
 
 def manufactured_psi(grid, g, h_vals):
     ric = ricci_form(g)
-    return HermitianField(grid, ric.values - complex_hessian(h_vals, grid) / (2 * np.pi))
+    return HermitianField(grid, ric.values - ddbar(ScalarField(grid, h_vals)).values / (2 * np.pi))
 
 
 class TestConstraint:
@@ -201,8 +201,6 @@ class TestPrescribe:
         h = random_trig_field(grid, rng, amplitude=0.12, bandwidth=1)
         psi = manufactured_psi(grid, g, h.values)
         res = prescribe_ricci(g, psi)
-        gp = HermitianField(
-            grid, g.values + complex_hessian(res.solve.phi.values, grid), metric=True
-        )
+        gp = (g + ddbar(res.solve.phi)).as_metric()
         gp_g, _, _ = gauduchon_metric(gp)
         assert abs(constraint_integral(gp, psi, gp_g)) < 1e-9

@@ -86,6 +86,24 @@ VALUES = (
     DELETE, None, True, "x", "", math.nan, math.inf, -math.inf, 0, -1, 8.5, 12.0,
     [], {}, [1.0], {"kind": "flat"}, {"a": 1}, FIELD, METRIC, "exp(1000)*cos(2*pi*x1)",
 )
+# A path that holds an expression draws expressions, so that a mutated
+# config reaches the expression sampler: one that overflows on the grid,
+# one that samples finite, one that divides by zero on the grid, a
+# constant that does not fit a double, one that does not parse and a
+# coordinate outside a call.
+EXPRESSION_PATHS = {
+    ("metric", "h"), ("metric", "f"), ("rhs", "expression"), ("psi", "h_expression"),
+}
+EXPRESSIONS = (
+    "exp(1000)*cos(2*pi*x1)", "0.3*sin(2*pi*y1)", "cos(2*pi*x1)/0", "1" + "0" * 400,
+    "cos(2*pi*", "x1",
+)
+
+
+def _mutation(path):
+    return st.tuples(st.just(path), st.sampled_from(
+        EXPRESSIONS if path in EXPRESSION_PATHS else VALUES
+    ))
 
 
 def _with_files(value, files: dict):
@@ -110,7 +128,7 @@ def _mutate(config: dict, path: tuple, value) -> None:
 def _case(task):
     config = st.fixed_dictionaries({**BASE, **OWN[task]})
     paths = st.sampled_from(PATHS + OWN_PATHS[task])
-    mutations = st.lists(st.tuples(paths, st.sampled_from(VALUES)), min_size=1, max_size=3)
+    mutations = st.lists(paths.flatmap(_mutation), min_size=1, max_size=3)
     return st.tuples(st.just(task), config, mutations)
 
 

@@ -18,7 +18,6 @@ from matorus.grid import (
     GridSpec,
     HermitianField,
     ScalarField,
-    complex_hessian,
     constant_field,
     ddbar,
     det,
@@ -243,18 +242,16 @@ class TestRicci:
         )
         g = conformal_metric(grid16, h)
         r = ricci_form(g)
-        want = -2.0 / (2.0 * np.pi) * complex_hessian(h.values, grid16)
+        want = -2.0 / (2.0 * np.pi) * ddbar(h).values
         assert np.max(np.abs(r.values - want)) < 1e-10
 
     def test_transgression_identity(self, grid16, rng):
         g = random_metric(grid16, rng, amplitude=0.25)
         phi = random_trig_field(grid16, rng, amplitude=0.015, bandwidth=1)
-        gp = HermitianField(
-            grid16, g.values + complex_hessian(phi.values, grid16), metric=True
-        )
+        gp = (g + ddbar(phi)).as_metric()
         lhs = ricci_form(gp).values - ricci_form(g).values
         logratio = np.log(det(gp)) - np.log(det(g))
-        rhs = -complex_hessian(logratio, grid16) / (2.0 * np.pi)
+        rhs = -ddbar(ScalarField(grid16, logratio)).values / (2.0 * np.pi)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -293,6 +290,27 @@ class TestWedge:
         g = identity_metric(grid)
         with pytest.raises(GridMismatchError):
             pair_density(g, g)
+
+    def test_adjugate_only_callers_form_no_determinant(self, grid8, rng, monkeypatch):
+        # The pairing and the weight operator take the adjugate's planes
+        # alone, so no determinant is expanded for them.
+        from matorus import geometry, grid
+
+        g = random_metric(grid8, rng)
+        calls = []
+        original = grid._det
+
+        def counted(p, adj):
+            calls.append(1)
+            return original(p, adj)
+
+        for module in (geometry, grid):
+            monkeypatch.setattr(module, "_det", counted)
+        pair_density(g, g)
+        geometry.weight_planes(g)
+        assert calls == []
+        det(g)
+        assert calls == [1]
 
 
 class TestPartsIdentity:

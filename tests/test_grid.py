@@ -8,9 +8,8 @@ from matorus.grid import (
     HermitianField,
     ScalarField,
     _adjugate,
+    _det,
     _hessian_matrix,
-    _planes,
-    complex_hessian,
     constant_field,
     d_antiholo,
     d_holo,
@@ -21,10 +20,11 @@ from matorus.grid import (
     inverse,
     measure_weights,
     min_eigenvalue,
+    resample,
 )
 
 from conftest import peak_field_units, real_derivatives, sample
-from random_fields import random_metric
+from random_fields import random_metric, random_trig_field
 
 
 def test_gridspec_validation():
@@ -144,7 +144,7 @@ def test_hessian_matches_composition_on_band_limited(grid16, rng):
             grid16.shape,
         ).copy(),
     )
-    h = complex_hessian(f.values, grid16)
+    h = ddbar(f).values
     for i in range(2):
         for j in range(2):
             comp = d_antiholo(d_holo(f, i), j).values
@@ -240,12 +240,33 @@ def test_planes_kernels_on_indefinite_fields(n):
     m = a + np.conj(np.swapaxes(a, -1, -2))
     eig = np.linalg.eigvalsh(m)
     assert ((eig[..., 0] < 0) & (eig[..., -1] > 0)).mean() > 0.5
-    adj, d = _adjugate(_planes(m))
+    p = HermitianField(grid, m).planes
+    adj = _adjugate(p)
+    d = _det(p, adj)
     want = np.linalg.det(m).real
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(d - want))) <= 1e-12 * scale
     err = _hessian_matrix(adj) @ m - d[..., None, None] * np.eye(n)
     assert float(np.max(np.abs(err))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, N", [(2, 12), (3, 10)])
+def test_plane_built_fields_match_the_complex_constructor_bitwise(n, N):
+    # The internal producers build a field from planes, with no Hermitian
+    # check: a coarse metric from its resampled planes, and g + Hess phi
+    # from the sum of the planes. Their matrices are those the complex
+    # constructor builds from the resampled matrices and the matrix sum,
+    # bit for bit.
+    rng = np.random.default_rng(60 + n)
+    fine, coarse = GridSpec(n, N), GridSpec(n, 8)
+    g_fine = identity_metric(fine) + ddbar(random_trig_field(fine, rng, amplitude=0.02))
+    g = HermitianField(coarse, tuple(resample(p, coarse) for p in g_fine.planes))
+    from_matrix = HermitianField(coarse, resample(g_fine.values, coarse))
+    assert np.array_equal(g.values.view(np.uint64), from_matrix.values.view(np.uint64))
+    phi = random_trig_field(coarse, rng, amplitude=0.05)
+    from_planes = g + ddbar(phi)
+    from_matrix = HermitianField(coarse, g.values + ddbar(phi).values)
+    assert np.array_equal(from_planes.values.view(np.uint64), from_matrix.values.view(np.uint64))
 
 
 def test_fields_are_immutable(grid8):
@@ -255,16 +276,24 @@ def test_fields_are_immutable(grid8):
     g = identity_metric(grid8)
     with pytest.raises(ValueError):
         g.values[..., 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        g.planes[0][0, 0, 0, 0] = 5.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("kind", ["scalar", "hermitian", "metric"])
+@pytest.mark.parametrize("kind", ["scalar", "hermitian", "metric", "planes"])
 def test_non_finite_values_rejected(grid8, kind, bad):
     if kind == "scalar":
         vals = np.zeros(grid8.shape)
         vals[0, 1, 2, 3] = bad
         with pytest.raises(GridMismatchError):
             ScalarField(grid8, vals)
+        return
+    if kind == "planes":
+        planes = [p.copy() for p in identity_metric(grid8).planes]
+        planes[3][0, 1, 2, 3] = bad
+        with pytest.raises(GridMismatchError, match="finite"):
+            HermitianField(grid8, tuple(planes))
         return
     vals = identity_metric(grid8).values.copy()
     vals[0, 1, 2, 3, 0, 0] = bad
@@ -325,10 +354,11 @@ def test_hermitian_deviation_is_reported_exactly(n, where):
 @pytest.mark.parametrize(
     "n, N, budget",
     [
-        # Halfway between the full-size temporaries (10.5 and 22.5 fields)
-        # and the entry-by-entry check (6.5 and 11).
-        (2, 16, 8.5),
-        (3, 8, 16.75),
+        # The stored planes, half the complex array, and one entry at a
+        # time; at n=3 the eigenvalues take one grid slab of matrices at a
+        # time: 5.00 and 7.31 fields.
+        (2, 16, 5.5),
+        (3, 8, 8.0),
     ],
 )
 def test_metric_validation_memory_budget(n, N, budget):

@@ -18,9 +18,8 @@ from matorus.fieldio import deserialize, serialize
 from matorus.geometry import _finish_weight
 from matorus.grid import (
     GridSpec,
-    HermitianField,
     ScalarField,
-    complex_hessian,
+    ddbar,
     det,
     identity_metric,
 )
@@ -172,7 +171,7 @@ def test_manufactured_recovery_n3(rng):
     grid = GridSpec(3, 8)
     g = identity_metric(grid)
     phi_star = random_trig_field(grid, rng, amplitude=0.008, bandwidth=1).values
-    gp = HermitianField(grid, g.values + complex_hessian(phi_star, grid), metric=True)
+    gp = (g + ddbar(ScalarField(grid, phi_star))).as_metric()
     F = ScalarField(grid, np.log(det(gp)) - np.log(det(g)) - 0.1)
     res = newton_solve(g, F)
     assert np.max(np.abs(res.phi.values - (phi_star - phi_star.max()))) < 1e-8
