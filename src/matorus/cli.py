@@ -242,19 +242,22 @@ def _task_gauduchon(cfg: RunConfig, out: str) -> dict:
     # The weight operator M of g is built once, in the weight solve. Its
     # image M(1) gives the input Gauduchon defect, and its image M(v) of
     # v = e^{(n-1)u} = M_{e^u g}(1) gives both the weight residual and the
-    # defect of the output metric. M is released before defects(g) runs,
-    # so the latter's own peak sets the task's.
+    # defect of the output metric. M, M(v), u and v are all released
+    # before defects(g) runs, so the latter's own peak above g's planes
+    # sets the task's.
     u, v, gauduchon_defect, m_v = _weight_image(g)
     output_defect = float(np.max(np.abs(m_v)))
     residual = output_defect / float(np.max(np.abs(v.values)))
     del m_v
     serialize(u, os.path.join(out, "u.field"))
     serialize(v, os.path.join(out, "v.field"))
+    v_min = float(v.values.min())
+    del u, v
     d = defects(g, gauduchon_defect)
     return {
         "task": "gauduchon",
         "residual": residual,
-        "v_min": float(v.values.min()),
+        "v_min": v_min,
         "input_defects": {
             "kaehler": d.kaehler_defect,
             "balanced": d.balanced_defect,

@@ -33,11 +33,14 @@ The first derivatives of the metric enter only antisymmetrized,
 d_i g_{jl-bar} - d_j g_{il-bar} (the coefficients of d omega), and one
 kernel gives them: ``antisymmetric_pairs`` yields the entries with i < j,
 one column l at a time. It costs n^2 forward and n^2 (n-1) inverse c2c
-transforms (4 and 4 at n=2, 9 and 18 at n=3) and holds n spectra and one
-entry at a time, never the full n^3 tensor of derivatives d_k g_{ij-bar}.
+transforms (4 and 4 at n=2, 9 and 18 at n=3). It holds the n spectra of
+a column and one complex buffer, runs its inverse transforms in place,
+and never builds the full n^3 tensor of derivatives d_k g_{ij-bar}.
 ``defects`` reduces the entries to the Kahler defect and the torsion
-trace as they come; ``torsion`` and ``chern.closedness_defect`` take
-them from the same kernel. ``defects`` takes its Gauduchon defect,
+trace as they come, and forms each entry of g^-1 they need from the
+planes of adj(g) and det g, one at a time, never the complex matrices
+of g^-1. ``torsion`` and ``chern.closedness_defect`` take the entries
+from the same kernel. ``defects`` takes its Gauduchon defect,
 sup |M(1)|, from ``gauduchon_residual`` unless the caller has it.
 
 Every differential operator here is Fourier-spectral, through the
@@ -100,15 +103,24 @@ def antisymmetric_pairs(g: HermitianField):
     one column l at a time: n forward c2c transforms per column and two
     inverse ones per pair, n^2 and n^2 (n - 1) in all. The n^3 derivative
     tensor is never built; each entry is computed as
-    ifftn(sigma_i F g_jl) - ifftn(sigma_j F g_il), sigma_k the symbol of d_k."""
+    ifftn(sigma_i F g_jl) - ifftn(sigma_j F g_il), sigma_k the symbol of d_k.
+    Besides the n spectra of a column it holds one complex buffer, which
+    takes each matrix entry for its forward transform and the second
+    product for its inverse one. Both inverse transforms run in place;
+    each yielded entry is a new array."""
     grid = g.grid
     n = grid.complex_dim
     sig = _holo_symbols(grid)
+    buf = np.empty(grid.shape, dtype=np.complex128)
     for l in range(n):
-        spec = [_fftn(_entry(g.planes, i, l)) for i in range(n)]
+        spec = [_fftn(_entry(g.planes, i, l, buf)) for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                yield i, j, l, _ifftn(sig[i] * spec[j]) - _ifftn(sig[j] * spec[i])
+                a = sig[i] * spec[j]
+                _ifftn(a, a)
+                _ifftn(np.multiply(sig[j], spec[i], out=buf), buf)
+                a -= buf
+                yield i, j, l, a
 
 
 def torsion(g: HermitianField) -> TorsionField:
@@ -154,16 +166,24 @@ def defects(g: HermitianField, gauduchon_defect: float | None = None) -> MetricD
     g = g.as_metric()
     if gauduchon_defect is None:
         gauduchon_defect = gauduchon_residual(g, constant_field(g.grid, 1.0))
-    ginv = inverse(g)
     # torsion(g).trace() without the torsion tensor: with A_ijl the pair
     # entry, trace_i gains -A_ijl ginv_lj and trace_j gains A_ijl ginv_li.
+    # An entry of ginv = adj(g) / det g is formed only when it is used, in
+    # one buffer, with the division ``inverse`` does.
+    adj = _adjugate(g.planes)
+    det_g = _det(g.planes, adj)
     n = g.grid.complex_dim
     trace = np.zeros((n,) + g.grid.shape, dtype=np.complex128)
+    e = np.empty(g.grid.shape, dtype=np.complex128)
     sups = []
     for i, j, l, d in antisymmetric_pairs(g):
         sups.append(np.max(np.abs(d)))
-        trace[i] -= d * ginv[..., l, j]
-        trace[j] += d * ginv[..., l, i]
+        _entry(adj, l, j, e)
+        e /= det_g
+        trace[i] -= np.multiply(d, e, out=e)
+        _entry(adj, l, i, e)
+        e /= det_g
+        trace[j] += np.multiply(d, e, out=e)
     kaehler = float(np.max(sups))
     balanced = float(np.max(np.abs(trace)))
     return MetricDefects(kaehler, balanced, gauduchon_defect)

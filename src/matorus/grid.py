@@ -99,8 +99,8 @@ def _fftn(a):
     return _pocketfft.c2c(a, None, True, 0, None, 1)
 
 
-def _ifftn(a):
-    return _pocketfft.c2c(a, None, False, 2, None, 1)
+def _ifftn(a, out=None):
+    return _pocketfft.c2c(a, None, False, 2, out, 1)
 
 
 def _rfftn(a):

@@ -37,14 +37,18 @@ def test_wrappers_equal_scipy_fft_bit_for_bit(shape):
 
 
 def test_wrappers_equal_scipy_fft_on_strided_read_only_input():
-    # geometry.antisymmetric_pairs transforms matrix entries in place:
-    # views with the matrix axes' strides, of a read-only array.
+    # The wrappers take any array: here a matrix entry, a view with the
+    # matrix axes' strides, of a read-only array.
     rng = np.random.default_rng(7)
     mats = rng.standard_normal((8,) * 4 + (2, 2)) + 1j * rng.standard_normal((8,) * 4 + (2, 2))
     mats.setflags(write=False)
     entry = mats[..., 0, 1]
     assert _same_bits(grid._fftn(entry), sfft.fftn(entry))
     assert _same_bits(grid._ifftn(entry), sfft.ifftn(entry))
+    # geometry.antisymmetric_pairs runs its inverse transforms in place.
+    x = entry.copy()
+    assert grid._ifftn(x, x) is x
+    assert _same_bits(x, sfft.ifftn(entry))
 
 
 def test_missing_kernel_file_is_an_import_error(monkeypatch):

@@ -104,16 +104,42 @@ class TestDefects:
     @pytest.mark.parametrize(
         "n, N, budget",
         [
-            # Halfway between the n^3 derivative tensor (22 and 66 fields)
-            # and the pair kernel (12 and 19).
-            (2, 16, 17.0),
-            (3, 8, 42.5),
+            # The pair kernel reads 10.5 and 17.0 fields: g^-1 is formed
+            # one entry at a time from the adjugate's planes, and the pair
+            # transforms run in place. With the complex g^-1 held it read
+            # 12.0 and 20.0.
+            (2, 16, 11.5),
+            (3, 8, 18.0),
         ],
     )
     def test_memory_budget(self, n, N, budget):
         grid = GridSpec(n, N)
         g = random_metric(grid, np.random.default_rng(5))
         assert peak_field_units(lambda: defects(g), grid) <= budget
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forms_no_complex_matrix(self, n, monkeypatch):
+        # defects reads g^-1 one entry at a time from the adjugate's
+        # planes, so neither g^-1 nor g is assembled as complex matrices;
+        # torsion, which does assemble g^-1, shows the counters work.
+        from matorus import geometry, grid
+
+        g = random_metric(GridSpec(n, 8), np.random.default_rng(n))
+        calls = []
+
+        def counting(name, original):
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(grid, "_hessian_matrix", counting("_hessian_matrix", grid._hessian_matrix))
+        for module in (geometry, grid):
+            monkeypatch.setattr(module, "inverse", counting("inverse", grid.inverse))
+        defects(g)
+        assert calls == []
+        geometry.torsion(g)
+        assert calls == ["inverse", "_hessian_matrix"]
 
 
 class TestLaplacian:
