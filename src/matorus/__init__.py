@@ -9,8 +9,6 @@ from .grid import (
     HermitianField,
     ScalarField,
     constant_field,
-    d_antiholo,
-    d_holo,
     ddbar,
     identity_metric,
     integrate,
@@ -19,13 +17,11 @@ from .grid import (
 from .fieldio import deserialize, serialize
 from .geometry import (
     MetricDefects,
-    TorsionField,
     canonical_laplacian,
     defects,
     gauduchon_metric,
     gauduchon_weight,
     ricci_form,
-    torsion,
     trace_pair,
     wedge_integral,
 )
@@ -43,16 +39,12 @@ __all__ = [
     "HermitianField",
     "constant_field",
     "identity_metric",
-    "d_holo",
-    "d_antiholo",
     "ddbar",
     "integrate",
     "measure_weights",
     "serialize",
     "deserialize",
-    "TorsionField",
     "MetricDefects",
-    "torsion",
     "defects",
     "canonical_laplacian",
     "trace_pair",

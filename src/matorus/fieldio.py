@@ -7,10 +7,10 @@ Layout (all little-endian):
     bytes 16..27   u32 n, u32 N, u32 kind
     bytes 28..     raw IEEE-754 doubles
 
-kind 0 = scalar-real, 1 = scalar-complex, 2 = hermitian. Payload doubles
-are in row-major grid order (axes x1, y1, x2, y2, ...); for hermitian
-fields the n x n matrix entries are innermost, row-major; complex values
-are interleaved real, imag. Round-trips are bit-exact.
+kind 0 = scalar (real), 2 = hermitian; any other kind is an error.
+Payload doubles are in row-major grid order (axes x1, y1, x2, y2, ...);
+for hermitian fields the n x n matrix entries are innermost, row-major,
+each interleaved real, imag. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ MAGIC = b"MATORUSFIELD"
 VERSION = 1
 
 KIND_SCALAR_REAL = 0
-KIND_SCALAR_COMPLEX = 1
 KIND_HERMITIAN = 2
 
 _HEADER = struct.Struct("<12sIIII")
@@ -38,7 +37,7 @@ def _kind_of(fld) -> int:
     if isinstance(fld, HermitianField):
         return KIND_HERMITIAN
     if isinstance(fld, ScalarField):
-        return KIND_SCALAR_REAL if fld.is_real else KIND_SCALAR_COMPLEX
+        return KIND_SCALAR_REAL
     raise FieldFormatError(f"cannot serialize object of type {type(fld).__name__}")
 
 
@@ -109,14 +108,12 @@ def deserialize(path, grid: GridSpec | None = None):
     npts = grid.npoints
     if kind == KIND_SCALAR_REAL:
         count, dtype, shape = npts, "<f8", grid.shape
-    elif kind == KIND_SCALAR_COMPLEX:
-        count, dtype, shape = npts, "<c16", grid.shape
     elif kind == KIND_HERMITIAN:
         count, dtype, shape = npts * n * n, "<c16", grid.shape + (n, n)
     else:
         raise FieldFormatError(
             f"unknown field kind {kind}",
-            expected={"kind": [KIND_SCALAR_REAL, KIND_SCALAR_COMPLEX, KIND_HERMITIAN]},
+            expected={"kind": [KIND_SCALAR_REAL, KIND_HERMITIAN]},
             found=header,
         )
     payload = raw[_HEADER.size:]

@@ -5,7 +5,7 @@ Conventions, with G the coefficient matrix g_{ij-bar} of the metric form:
     laplacian f   = g^{ij-bar} d_i d_jbar f      = trace(G^-1 Hess f)
     tr_g g'       = g^{ij-bar} g'_{ij-bar}       = trace(G^-1 G')
                   = n + laplacian phi            for g' = g + Hess phi
-    torsion       T^k_ij = g^{kl-bar} (d_i g_{jl-bar} - d_j g_{il-bar})
+    torsion trace T_i = sum_j T^j_ji,  T^k_ij = g^{kl-bar} (d_i g_{jl-bar} - d_j g_{il-bar})
     Ricci form    R_{kl-bar} = -(1/2pi) d_k d_lbar log det g
 
 The conformal weight solve finds v > 0 with d dbar (v omega^{n-1}) = 0,
@@ -39,8 +39,8 @@ and never builds the full n^3 tensor of derivatives d_k g_{ij-bar}.
 ``defects`` reduces the entries to the Kahler defect and the torsion
 trace as they come, and forms each entry of g^-1 they need from the
 planes of adj(g) and det g, one at a time, never the complex matrices
-of g^-1. ``torsion`` and ``chern.closedness_defect`` take the entries
-from the same kernel. ``defects`` takes its Gauduchon defect,
+of g^-1. ``chern.closedness_defect`` takes the entries from the same
+kernel. ``defects`` takes its Gauduchon defect,
 sup |M(1)|, from ``gauduchon_residual`` unless the caller has it.
 
 Every differential operator here is Fourier-spectral, through the
@@ -63,7 +63,6 @@ from .errors import (
     LinearSolverStalled,
 )
 from .grid import (
-    GridSpec,
     HermitianField,
     ScalarField,
     _adjugate,
@@ -84,18 +83,6 @@ from .linsolve import _contract, laplacian, laplacian_adjoint, laplacian_planes,
 _WEIGHT_RTOL = 1e-13
 _WEIGHT_MAXITER = 60
 _WEIGHT_CONTRACT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TorsionField:
-    """Components T^k_ij per grid point, antisymmetric in (i, j)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def trace(self) -> np.ndarray:
-        """sum_j T^j_ji as a vector over i, shape grid + (n,)."""
-        return np.einsum("...jji->...i", self.values)
 
 
 def antisymmetric_pairs(g: HermitianField):
@@ -121,17 +108,6 @@ def antisymmetric_pairs(g: HermitianField):
                 _ifftn(np.multiply(sig[j], spec[i], out=buf), buf)
                 a -= buf
                 yield i, j, l, a
-
-
-def torsion(g: HermitianField) -> TorsionField:
-    g = g.as_metric()
-    n = g.grid.complex_dim
-    # d_i g_{jl-bar} - d_j g_{il-bar}, shape grid + (i, j, l)
-    antisym = np.zeros(g.grid.shape + (n, n, n), dtype=np.complex128)
-    for i, j, l, d in antisymmetric_pairs(g):
-        antisym[..., i, j, l] = d
-        np.negative(d, out=antisym[..., j, i, l])
-    return TorsionField(g.grid, np.einsum("...lk,...ijl->...kij", inverse(g), antisym))
 
 
 @dataclass(frozen=True)
@@ -166,7 +142,7 @@ def defects(g: HermitianField, gauduchon_defect: float | None = None) -> MetricD
     g = g.as_metric()
     if gauduchon_defect is None:
         gauduchon_defect = gauduchon_residual(g, constant_field(g.grid, 1.0))
-    # torsion(g).trace() without the torsion tensor: with A_ijl the pair
+    # The torsion trace without the torsion tensor: with A_ijl the pair
     # entry, trace_i gains -A_ijl ginv_lj and trace_j gains A_ijl ginv_li.
     # An entry of ginv = adj(g) / det g is formed only when it is used, in
     # one buffer, with the division ``inverse`` does.

@@ -10,24 +10,23 @@ Holomorphic derivatives are Wirtinger operators
     d_jbar  = (d/dx^j + i d/dy^j) / 2.
 
 Every derivative is Fourier collocation, which differentiates
-trigonometric polynomials of degree < N/2 exactly. Every first derivative
-multiplies the complex spectrum by the one Wirtinger symbol sigma_j of
-d_j (``_holo_symbols``): d_jbar by -conj(sigma_j), d/dx^j by
-sigma_j - conj(sigma_j) and d/dy^j by i (sigma_j + conj(sigma_j)), and
-``geometry.antisymmetric_pairs`` differentiates the metric with the same
-symbols. They vanish at the Nyquist frequency (exact for the symmetric
-mode interpretation, and keeps real fields real); same-axis second
-derivatives keep the full Nyquist symbol, so the discrete Laplacian's
-kernel is exactly the constants.
+trigonometric polynomials of degree < N/2 exactly. A first derivative
+multiplies the complex spectrum by the Wirtinger symbol sigma_j of d_j
+(``_holo_symbols``), d_jbar by -conj(sigma_j); only
+``geometry.antisymmetric_pairs`` takes one, of the metric's entries. The
+symbols vanish at the Nyquist frequency (exact for the symmetric mode
+interpretation); same-axis second derivatives keep the full Nyquist
+symbol, so the discrete Laplacian's kernel is exactly the constants.
 
 Integration fixes all volume-form constants (n!, powers of i/2) into a
 single convention: ``integrate(f, g) = mean over grid points of
 f * det(g)``, so that ``integrate(1, flat identity metric) == 1``.
 
-Real fields are transformed with real-input FFTs (``rfftn``/``irfftn``,
-which keep the half spectrum whose last axis is cut to N/2 + 1), complex
-fields with complex-to-complex ones. The Hessian symbols are cached once
-per grid as real half-spectrum planes (``real_hessian_symbols``), built
+Scalar fields are real (float64) and are transformed with real-input
+FFTs (``rfftn``/``irfftn``, which keep the half spectrum whose last axis
+is cut to N/2 + 1); the complex entries of a metric take
+complex-to-complex ones. The Hessian symbols are cached once per grid as
+real half-spectrum planes (``real_hessian_symbols``), built
 on first use; every second-order operator with Hermitian coefficients
 acts on real fields through them and the coefficient planes of
 ``linsolve.laplacian_planes``, the one builder.
@@ -240,7 +239,8 @@ def real_hessian_symbols(grid: GridSpec) -> tuple:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real or complex function sampled on the grid."""
+    """Real function sampled on the grid, stored as float64; complex
+    values are rejected, never cast."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
@@ -251,23 +251,19 @@ class ScalarField:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if v.dtype not in (np.float64, np.complex128):
-            v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
+        if np.iscomplexobj(v):
+            raise GridMismatchError("a scalar field takes real values")
+        v = np.ascontiguousarray(v, dtype=np.float64)
         if not np.isfinite(v).all():
             raise GridMismatchError("field values must be finite")
-        v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
     def sup(self) -> float:
-        return float(np.max(self.values.real))
+        return float(np.max(self.values))
 
     def inf(self) -> float:
-        return float(np.min(self.values.real))
+        return float(np.min(self.values))
 
 
 def constant_field(grid: GridSpec, value: float = 0.0) -> ScalarField:
@@ -453,23 +449,6 @@ def min_eigenvalue(h: HermitianField) -> tuple:
     return float(emin[point]), point
 
 
-def _holo_symbol(f: ScalarField, axis: int) -> np.ndarray:
-    n = f.grid.complex_dim
-    if not 0 <= axis < n:
-        raise GridMismatchError(f"holomorphic axis {axis} out of range for n={n}")
-    return _holo_symbols(f.grid)[axis]
-
-
-def d_holo(f: ScalarField, axis: int) -> ScalarField:
-    """Holomorphic Wirtinger derivative d_axis f (axis in 0..n-1), symbol sigma."""
-    return ScalarField(f.grid, _ifftn(_holo_symbol(f, axis) * _fftn(f.values)))
-
-
-def d_antiholo(f: ScalarField, axis: int) -> ScalarField:
-    """Anti-holomorphic Wirtinger derivative d_axisbar f, symbol -conj(sigma)."""
-    return ScalarField(f.grid, _ifftn(-np.conj(_holo_symbol(f, axis)) * _fftn(f.values)))
-
-
 def complex_hessian(values: np.ndarray, grid: GridSpec) -> tuple:
     """The planes of the complex Hessian d_i d_jbar f of a real field f:
     one real forward transform and n^2 real inverse ones."""
@@ -514,8 +493,6 @@ def ddbar(f: ScalarField) -> HermitianField:
     Entry (i, j) is d_i d_jbar f, the coefficient matrix of the real
     (1,1)-form i d dbar f.
     """
-    if not f.is_real:
-        raise GridMismatchError("ddbar expects a real field")
     return HermitianField(f.grid, complex_hessian(f.values, f.grid))
 
 
@@ -546,14 +523,12 @@ def _resample_matrix(N: int, M: int) -> np.ndarray:
 def resample(values: np.ndarray, grid_to: GridSpec) -> np.ndarray:
     """Trigonometric interpolation of grid samples onto ``grid_to``.
 
-    ``values`` has the grid axes first (N points each) and any pointwise
-    axes after them; real and imaginary parts are resampled separately,
-    by one real matrix per axis (``_resample_matrix``). Exact on
-    trigonometric polynomials of degree < min(N, M)/2 in each variable;
-    restricting what was prolonged returns the input.
+    ``values`` is real, with the grid axes first (N points each) and any
+    pointwise axes after them; each axis is resampled by one real matrix
+    (``_resample_matrix``). Exact on trigonometric polynomials of degree
+    < min(N, M)/2 in each variable; restricting what was prolonged returns
+    the input.
     """
-    if np.iscomplexobj(values):
-        return resample(values.real, grid_to) + 1j * resample(values.imag, grid_to)
     out = np.asarray(values, dtype=np.float64)
     for axis in range(2 * grid_to.complex_dim):
         R = _resample_matrix(out.shape[axis], grid_to.points_per_axis)
@@ -569,8 +544,6 @@ def integrate(f: ScalarField, g: HermitianField) -> float:
     """
     if not g.metric:
         raise NotPositiveError("integrate requires a metric field (construct with metric=True)")
-    if not f.is_real:
-        raise GridMismatchError("integrate expects a real field")
     if f.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
     return float(np.mean(f.values * det(g)))

@@ -92,10 +92,8 @@ def laplacian_planes(adj: tuple, scale) -> tuple:
 
 def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_k planes[k] * irfftn(S_k * rfftn(f)), trace(G^-1 Hess f) for the
-    planes of ``laplacian_planes``: one real forward transform and n^2 real
-    inverse ones; complex input is split into its real and imaginary parts."""
-    if np.iscomplexobj(values):
-        return laplacian(planes, values.real, grid) + 1j * laplacian(planes, values.imag, grid)
+    planes of ``laplacian_planes`` and a real field f: one real forward
+    transform and n^2 real inverse ones."""
     return _contract(planes, _hessian_planes(_rfftn(values), grid), grid)
 
 

@@ -104,7 +104,7 @@ def real_scalar_from_spec(grid: GridSpec, spec: dict, key: str, where: str) -> S
     if key.endswith("expression"):
         return sample_expression(spec_string(spec, key, where), grid)
     fld = field_from_spec(spec, key, where, grid)
-    if not isinstance(fld, ScalarField) or not fld.is_real:
+    if not isinstance(fld, ScalarField):
         raise ConfigError(f"{where}.{key} {spec[key]!r} does not hold a real scalar field")
     return fld
 

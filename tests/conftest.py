@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matorus.grid import GridSpec, HermitianField, ScalarField, d_antiholo, d_holo, identity_metric
+from matorus import grid as _grid
+from matorus.geometry import antisymmetric_pairs
+from matorus.grid import GridSpec, HermitianField, ScalarField, identity_metric
 
 
 @pytest.fixture
@@ -28,15 +30,39 @@ def sample(grid: GridSpec, fn) -> ScalarField:
     return ScalarField(grid, np.broadcast_to(fn(grid.coordinates()), grid.shape).copy())
 
 
+def d_holo(f, j: int) -> np.ndarray:
+    """d_j f by the Wirtinger symbol sigma_j of ``grid._holo_symbols``, for
+    ``f`` with a ``grid`` and (real or complex) ``values``."""
+    return _grid._ifftn(_grid._holo_symbols(f.grid)[j] * _grid._fftn(f.values))
+
+
+def d_antiholo(f, j: int) -> np.ndarray:
+    """d_jbar f by the symbol -conj(sigma_j)."""
+    return _grid._ifftn(-np.conj(_grid._holo_symbols(f.grid)[j]) * _grid._fftn(f.values))
+
+
 def real_derivatives(f: ScalarField) -> list:
     """The 2n real-axis derivatives of f in axis order, from the Wirtinger
-    ones: d/dx^j = d_j + d_jbar and d/dy^j = i (d_j - d_jbar). Real for a
-    real f."""
+    ones: d/dx^j = d_j + d_jbar and d/dy^j = i (d_j - d_jbar)."""
     out = []
     for j in range(f.grid.complex_dim):
-        dh, da = d_holo(f, j).values, d_antiholo(f, j).values
+        dh, da = d_holo(f, j), d_antiholo(f, j)
         out += [dh + da, 1j * (dh - da)]
-    return [ScalarField(f.grid, d.real if f.is_real else d) for d in out]
+    return [ScalarField(f.grid, d.real) for d in out]
+
+
+def torsion(g: HermitianField) -> np.ndarray:
+    """The torsion T^k_ij = g^{kl-bar} (d_i g_{jl-bar} - d_j g_{il-bar}) of
+    the Chern connection, shape grid + (k, i, j), from the pair entries of
+    ``antisymmetric_pairs`` and the complex g^-1 of ``grid.inverse``."""
+    g = g.as_metric()
+    n = g.grid.complex_dim
+    # d_i g_{jl-bar} - d_j g_{il-bar}, shape grid + (i, j, l)
+    antisym = np.zeros(g.grid.shape + (n, n, n), dtype=np.complex128)
+    for i, j, l, d in antisymmetric_pairs(g):
+        antisym[..., i, j, l] = d
+        np.negative(d, out=antisym[..., j, i, l])
+    return np.einsum("...lk,...ijl->...kij", _grid.inverse(g), antisym)
 
 
 def conformal_metric(grid: GridSpec, h: ScalarField) -> HermitianField:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matorus import fieldio
 from matorus.cli import TASKS, main
 from matorus.fieldio import deserialize, serialize
 from matorus.geometry import defects, gauduchon_metric, gauduchon_residual
@@ -492,6 +493,19 @@ def test_scalar_spec_file_must_hold_a_real_scalar_field(
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "config_error", err
     assert named in err["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_complex_scalar_field_file_is_a_field_format_error(tmp_path, capsys, monkeypatch):
+    # Kind 1, once a complex scalar field, is no longer part of the format.
+    monkeypatch.chdir(tmp_path)
+    payload = np.ones(GridSpec(**BASE_GRID).shape, dtype="<c16").tobytes()
+    (tmp_path / "f.field").write_bytes(fieldio._HEADER.pack(fieldio.MAGIC, 1, 2, 8, 1) + payload)
+    cfg = write_config(tmp_path, "c.json", {"grid": BASE_GRID, "rhs": {"path": "f.field"}})
+    assert run_cli(["solve", "--config", cfg]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "field_format", err
+    assert "unknown field kind 1" in err["message"]
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

@@ -57,14 +57,6 @@ def test_resample_splits_and_folds_the_nyquist_mode():
     assert np.abs(resample(np.cos(4 * np.pi * x1), coarse) - nyquist).max() <= 1e-14
 
 
-def test_resampled_hermitian_field_stays_hermitian(rng):
-    g = random_metric(GridSpec(2, 12), rng, bandwidth=2)
-    gc = resample(g.values, GridSpec(2, 8))
-    assert gc.dtype == np.complex128
-    assert np.array_equal(gc, np.conj(np.swapaxes(gc, -1, -2)))
-    assert np.abs(resample(resample(gc, g.grid), GridSpec(2, 8)) - gc).max() <= 1e-14
-
-
 def test_nested_solve_on_the_coarsest_grid_is_the_continuation():
     g, F = _problem(8)
     nested, single = nested_solve(g, F), continuity_solve(g, F)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from matorus.geometry import defects, torsion, weight_planes
+from matorus.geometry import defects, weight_planes
 from matorus.grid import (
     GridSpec,
     _adjugate,
@@ -29,6 +29,7 @@ from matorus.grid import (
 )
 from matorus.linsolve import frozen_symbol, laplacian, laplacian_adjoint, laplacian_planes
 
+from conftest import torsion
 from random_fields import random_metric, random_trig_field
 
 RTOL = 1e-12
@@ -125,11 +126,10 @@ def test_laplacian_matches_complex_reference(data):
     grid, g, f, v = data
     ginv = inverse(g)
     planes = laplacian_planes(_adjugate(g.planes), 1.0 / det(g))
-    lap = laplacian(planes, f, grid)
-    assert lap.dtype == np.float64
-    assert_close(lap, ref_laplacian(ginv, f, grid))
-    want = np.einsum("...ij,...ji->...", ginv, ref_hessian(f + 1j * v, grid))
-    assert_close(laplacian(planes, f + 1j * v, grid), want)
+    for x in (f, v):
+        lap = laplacian(planes, x, grid)
+        assert lap.dtype == np.float64
+        assert_close(lap, ref_laplacian(ginv, x, grid))
 
 
 def test_laplacian_planes_match_the_inverse_metric(data):
@@ -186,7 +186,7 @@ def test_defects_match_torsion_and_reference_operator(grid8, rng):
     d = defects(g)
     dg = ref_metric_derivatives(g.values, grid8)
     assert d.kaehler_defect == float(np.max(np.abs(dg - np.swapaxes(dg, -3, -2))))
-    balanced = float(np.max(np.abs(torsion(g).trace())))
+    balanced = float(np.max(np.abs(np.einsum("...jji->...i", torsion(g)))))
     assert abs(d.balanced_defect - balanced) <= RTOL * balanced
     cfields = ref_weight_fields(g.values, 2)
     gaud = float(np.max(np.abs(ref_weight_operator(np.ones(grid8.shape), cfields, grid8))))

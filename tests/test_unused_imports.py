@@ -161,3 +161,24 @@ def test_guard_flags_an_orphaned_public_name():
 def test_every_exported_name_resolves():
     missing = [name for name in matorus.__all__ if not hasattr(matorus, name)]
     assert missing == []
+
+
+# The public API, pinned: adding or removing a name is a deliberate edit here.
+PUBLIC_API = [
+    "MatorusError",
+    "GridSpec", "ScalarField", "HermitianField", "constant_field", "identity_metric",
+    "ddbar", "integrate", "measure_weights",
+    "serialize", "deserialize",
+    "MetricDefects", "defects", "canonical_laplacian", "trace_pair",
+    "gauduchon_weight", "gauduchon_metric", "ricci_form", "wedge_integral",
+    "SolverConfig", "SolveResult", "ma_log_residual", "newton_solve", "continuity_solve",
+    "EstimateReport", "report", "sweep",
+    "MetricJet", "CoordinateChange", "normal_coordinates", "check_cs_chain",
+    "check_balanced_coords",
+    "PrescriptionResult", "constraint_integral", "prescribe_ricci",
+    "__version__",
+]
+
+
+def test_public_api_is_pinned():
+    assert matorus.__all__ == PUBLIC_API
