@@ -146,6 +146,7 @@ def load_config(path: str, task: str, seed_override=None, out_override=None) -> 
     seed = _require_int(raw.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
+    _require(seed >= 0, f"seed must be a non-negative integer, not {seed}")
     out = out_override or raw.get("output_dir", "out")
     _require(isinstance(out, str) and out, "config field 'output_dir' must be a nonempty string")
     extras = {}

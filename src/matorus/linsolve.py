@@ -54,14 +54,15 @@ real transforms. ``laplacian_adjoint`` (and any other kernel, scaled on
 the right) works on eta in field form.
 
 GMRES(30) starts at x0 = rhs, that is at eta0 = M^-1 (rhs, 0), the
-preconditioner's answer. A start that meets the tolerance comes back with
-the Hessian planes of the first application; any other answer takes one
-more pass of M^-1 for its planes, so the Newton step does not
-differentiate its correction again. For a conformal metric e^h I,
-adj(g) = e^((n-1)h) I: the planes of both operators are multiples of I,
-so the normalized ones have constant coefficients at phi = 0, M is the
-exact inverse, the start is the solution, and that one application
-confirms it at every n.
+preconditioner's answer. One application holds (eta, beta) and at most
+one Hessian plane of eta; the start keeps its (eta, beta) until the next
+application, for a solve that ends there, and any other answer takes one
+more pass of M^-1. The answer's n^2 Hessian planes are built once, after
+GMRES, so the Newton step does not differentiate its correction again.
+For a conformal metric e^h I, adj(g) = e^((n-1)h) I: the planes of both
+operators are multiples of I, so the normalized ones have constant
+coefficients at phi = 0, M is the exact inverse, the start is the
+solution, and that one application confirms it at every n.
 
 The callers are the Newton step (``solver.newton_solve``), the Poisson
 solve in the distinguished metric (``chern.prescribe_ricci``) and the
@@ -135,10 +136,11 @@ def solve_constrained(
     """Returns (eta, beta, hessian) for the bordered system described
     above, with mean(eta) = 0. ``apply`` is ``laplacian`` or
     ``laplacian_adjoint``, called as (planes, values, grid), and sets the
-    side of the preconditioner's scaling. ``hessian`` is the tuple of the
-    n^2 real Hessian planes of eta (``grid.real_hessian_symbols``) for the
-    ``laplacian`` kernel and None for the other; LinearSolverStalled past
-    ``maxiter`` GMRES cycles."""
+    side of the preconditioner's scaling. One application holds (eta, beta)
+    and at most one Hessian plane of eta. ``hessian``, the tuple of the n^2
+    real Hessian planes of the answer (``grid.real_hessian_symbols``), is
+    built after GMRES for ``laplacian`` and is None for the other kernel;
+    LinearSolverStalled past ``maxiter`` GMRES cycles."""
     shape = grid.shape
     zero = (0,) * len(shape)
     n = grid.complex_dim
@@ -161,30 +163,29 @@ def solve_constrained(
     start = []
 
     def precondition(r):
-        # (eta, beta) = M^-1 (r, 0) with mean(eta) = 0, and eta's planes.
+        # (eta, beta) = M^-1 (r, 0) with mean(eta) = 0.
         r = r.reshape(shape)
         if fused:
-            # a Lbar(eta) - beta = r, eta kept as its half spectrum, whose
-            # Hessian planes the Laplacian reads.
+            # a Lbar(eta) - beta = r, eta kept as its half spectrum.
             beta = -float((r * inv_a).mean()) / mean_inv_a
-            eta = solve_frozen((r + beta) * inv_a)
-            return eta, beta, tuple(_hessian_planes(eta, grid))
+            return solve_frozen((r + beta) * inv_a), beta
         # Lbar(a eta) - beta = r
         beta = -float(r.mean())
         u = _irfftn(solve_frozen(r + beta), shape)
-        return (u - float((u * inv_a).mean()) / mean_inv_a) * inv_a, beta, None
+        return (u - float((u * inv_a).mean()) / mean_inv_a) * inv_a, beta
 
     def matvec(r):
         # K M^-1 (r, 0); the start r = b keeps its answer, for a solve that ends there.
         start.clear()
-        eta, beta, hessian = answer = precondition(r)
-        if r is b:
-            start.extend(answer)
-        image = _contract(planes, hessian, grid) if fused else apply(planes, eta, grid)
-        return (image - beta).ravel()
+        eta, beta = answer = precondition(r)
+        start.extend(answer if r is b else ())
+        if fused:  # the Hessian planes of eta, one at a time
+            return (_contract(planes, _hessian_planes(eta, grid), grid) - beta).ravel()
+        return (apply(planes, eta, grid) - beta).ravel()
 
     x = _gmres(matvec, b, b, rtol, maxiter)
-    eta, beta, hessian = start or precondition(x)
+    eta, beta = start or precondition(x)
+    hessian = tuple(_hessian_planes(eta, grid)) if fused else None
     return (_irfftn(eta, shape) if fused else eta), beta, hessian
 
 

@@ -16,8 +16,8 @@ its n^2 real planes, the format of ``HermitianField``: the start's are
 those of g plus the Hessian planes of phi (``grid._hessian_planes``),
 and one pass of ``grid._adjugate`` per iterate gives adj(g'), for the
 planes, and with ``grid._det`` det g', for the log residual. The solve also
-returns the Hessian planes of the correction, from its preconditioner's
-last pass, so each line-search trial adds the two plane by plane. The
+returns the Hessian planes of the correction, built once from its
+spectrum, so each line-search trial adds the two plane by plane. The
 equation is invariant under constant shifts of phi, so no correction is
 spent on the constant of the start; on output phi is re-normalized to
 sup phi = 0, which leaves b unchanged. That is the only normalization:

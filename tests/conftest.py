@@ -10,6 +10,12 @@ from matorus.geometry import antisymmetric_pairs
 from matorus.grid import GridSpec, HermitianField, ScalarField, identity_metric
 
 
+# conf3d: a conformal metric e^h I and a right-hand side that depend on
+# all three complex coordinates at n = 3.
+CONF3D_H = "0.2*cos(2*pi*x2) + 0.1*sin(2*pi*y3)"
+CONF3D_RHS = "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2) + 0.2*cos(2*pi*x3)"
+
+
 @pytest.fixture
 def grid8():
     return GridSpec(2, 8)

@@ -703,6 +703,7 @@ def test_fixed_solver_constant_is_not_a_config_key(tmp_path, capsys, key, value)
         {"seed": True},
         {"seed": 1.5},
         {"seed": "7"},
+        {"seed": -1},
     ],
 )
 def test_non_integer_grid_or_seed_is_a_config_error(tmp_path, capsys, patch):
@@ -710,6 +711,18 @@ def test_non_integer_grid_or_seed_is_a_config_error(tmp_path, capsys, patch):
         tmp_path, "bad.json", {"grid": BASE_GRID, "metric": {"kind": "flat"}, **patch}
     )
     rc = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "config_error"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    # numpy's default_rng takes no negative seed; the config check turns it away first.
+    cfg = write_config(tmp_path, "id.json", {"grid": BASE_GRID})
+    rc = run_cli(
+        ["verify-identities", "--config", cfg, "--seed", "-3", "--out", str(tmp_path / "out")]
+    )
     assert rc == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "config_error"

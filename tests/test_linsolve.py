@@ -12,6 +12,7 @@ import pytest
 
 from matorus import linsolve
 from matorus.errors import LinearSolverStalled
+from matorus.expressions import sample_expression
 from matorus.geometry import gauduchon_weight, weight_planes
 from matorus.grid import (
     GridSpec,
@@ -19,12 +20,22 @@ from matorus.grid import (
     ScalarField,
     _adjugate,
     _hessian_matrix,
+    _hessian_planes,
+    _rfftn,
     ddbar,
     det,
 )
 from matorus.linsolve import laplacian, laplacian_adjoint, laplacian_planes, solve_constrained
+from matorus.problems import metric_from_spec
 
-from conftest import conformal_metric, sample, wrap_gmres_operator
+from conftest import (
+    CONF3D_H,
+    CONF3D_RHS,
+    conformal_metric,
+    peak_field_units,
+    sample,
+    wrap_gmres_operator,
+)
 from random_fields import random_metric, random_trig_field
 
 # Each kernel with the planes its callers give it: adj(g) / det(g) for
@@ -146,32 +157,55 @@ def test_laplacian_operator_is_one_spectral_pass(n, monkeypatch, count_transform
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_hessian_planes_are_those_of_the_returned_solution(kernel):
+def test_hessian_planes_are_those_of_the_returned_solution(kernel, count_matvecs):
+    # On the conformal metric the start meets the tolerance: the planes
+    # come from the start's spectrum, after its one application.
     grid = GridSpec(2, 8)
     rng = np.random.default_rng(1515)
     apply, planes_of = KERNELS[kernel]
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
-    eta, _, hessian = solve_constrained(apply, planes_of(random_metric(grid, rng)), rhs, grid)
-    if apply is laplacian_adjoint:
-        assert hessian is None
-        return
-    want = ddbar(ScalarField(grid, eta)).values
-    assert float(np.max(np.abs(_hessian_matrix(hessian) - want))) <= 1e-12 * float(
-        np.max(np.abs(want))
-    )
+    for g, ends_at_start in ((random_metric(grid, rng), False), (_conformal(2)[1], True)):
+        count_matvecs.clear()
+        eta, _, hessian = solve_constrained(apply, planes_of(g), rhs, grid)
+        assert (len(count_matvecs) == 1) == ends_at_start
+        if apply is laplacian_adjoint:
+            assert hessian is None
+            continue
+        want = ddbar(ScalarField(grid, eta)).values
+        assert float(np.max(np.abs(_hessian_matrix(hessian) - want))) <= 1e-12 * float(
+            np.max(np.abs(want))
+        )
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_zero_right_hand_side_gives_zero(kernel):
     # The start eta0 = M^-1 0 = 0 meets the tolerance at the first
-    # application, whose solution and planes the solve returns.
+    # application, whose solution the solve returns with its planes.
     grid = GridSpec(2, 8)
     apply, planes_of = KERNELS[kernel]
     planes = planes_of(random_metric(grid, np.random.default_rng(0)))
     eta, beta, hessian = solve_constrained(apply, planes, np.zeros(grid.shape), grid)
     assert not np.any(eta) and beta == 0.0
     assert hessian is None or not any(np.any(h) for h in hessian)
+
+
+def test_laplacian_solve_memory_budget(count_matvecs):
+    # One application holds the half spectrum of eta and one Hessian plane
+    # at a time, and the start keeps only its (eta, beta): 7.56 complex
+    # fields here, where GMRES takes 8 applications. Holding the n^2 = 9
+    # planes of each application read 10.94.
+    grid = GridSpec(3, 8)
+    g = metric_from_spec(grid, {"kind": "conformal", "h": CONF3D_H})
+    F = sample_expression(CONF3D_RHS, grid).values
+    hessian = _hessian_planes(_rfftn(0.02 * F), grid)
+    gp = HermitianField(grid, tuple(a + h for a, h in zip(g.planes, hessian)), metric=True)
+    planes = laplacian_planes(_adjugate(gp.planes), 1.0 / det(gp))
+    peak = peak_field_units(
+        lambda: solve_constrained(laplacian, planes, F, grid, rtol=1e-10), grid
+    )
+    assert len(count_matvecs) > 2  # GMRES iterates past its start in each of the two runs
+    assert peak <= 8.0
 
 
 def _anisotropic(grid, amplitude):

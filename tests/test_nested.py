@@ -10,7 +10,7 @@ from matorus.grid import GridSpec, identity_metric, resample
 from matorus.problems import metric_from_spec
 from matorus.solver import SolverConfig, continuity_solve, ma_log_residual, nested_solve
 
-from conftest import count_weight_solves
+from conftest import CONF3D_H, CONF3D_RHS, count_weight_solves
 from random_fields import random_metric, random_trig_field
 
 RHS = "0.4*cos(2*pi*x1) + 0.3*sin(2*pi*y2)"
@@ -79,6 +79,14 @@ def test_nested_solve_matches_the_fine_continuation(N):
     assert nested.coarse.phi.grid == GridSpec(2, 8)
     assert [t for t, _, _ in nested.t_trace] == [1.0]
     assert nested.rejected == []
+
+
+def test_nested_solve_pins_b_at_n3():
+    # conf3d at N=8: the coarsest grid, where the nested solve is the continuation.
+    grid = GridSpec(3, 8)
+    g = metric_from_spec(grid, {"kind": "conformal", "h": CONF3D_H})
+    res = nested_solve(g, sample_expression(CONF3D_RHS, grid))
+    assert abs(res.b - -0.07325459265857069) <= 1e-12
 
 
 def test_nested_solve_newton_budget(monkeypatch):

@@ -217,16 +217,19 @@ class TestNewton:
         monkeypatch.undo()
         assert float(np.max(np.abs(ma_log_residual(g, res.phi, F, res.b).values))) <= 1e-10
 
-    @pytest.mark.parametrize("n, budget", [(2, 15.5), (3, 23.0)])
+    @pytest.mark.parametrize("n, budget", [(2, 14.5), (3, 19.5)])
     def test_newton_memory_budget(self, n, budget):
-        # Newton holds the iterate as its real planes; its adjugate and
-        # determinant are freed once the operator planes are built, before
-        # the Krylov solve, and those planes once the solve returns, before
-        # the line search, and the n=3 smallest eigenvalue takes one grid
-        # slab of matrices at a time: 15.07 and 22.44 fields. The adjugate
-        # alive through the solve reads 16.07 at n=2. Each correction's
-        # Hessian planes are freed once the iterate is updated, before the
-        # next solve.
+        # In complex fields of peak_field_units, npoints * 16 bytes each
+        # (ROADMAP quotes real fields, half that size). Newton holds the
+        # iterate as its real planes; its adjugate and determinant are
+        # freed once the operator planes are built, before the Krylov
+        # solve, and those planes once the solve returns, before the line
+        # search; one Krylov application holds one Hessian plane of its
+        # correction at a time, and the n=3 smallest eigenvalue takes one
+        # grid slab of matrices at a time: 14.32 and 19.07 fields. All n^2
+        # planes of each application read 15.07 and 22.44. Each
+        # correction's Hessian planes are freed once the iterate is
+        # updated, before the next solve.
         grid = GridSpec(n, 8)
         g, F = conformal_problem(grid)
         assert peak_field_units(lambda: newton_solve(g, F), grid) <= budget
