@@ -33,11 +33,15 @@ The first derivatives of the metric enter only antisymmetrized,
 d_i g_{jl-bar} - d_j g_{il-bar} (the coefficients of d omega), and one
 kernel gives them: ``antisymmetric_pairs`` yields the entries with i < j,
 one column l at a time. It costs n^2 forward and n^2 (n-1) inverse c2c
-transforms (4 and 4 at n=2, 9 and 18 at n=3). It holds the n spectra of
-a column and one complex buffer, runs its inverse transforms in place,
-and never builds the full n^3 tensor of derivatives d_k g_{ij-bar}.
-``defects`` reduces the entries to the Kahler defect and the torsion
-trace as they come, and forms each entry of g^-1 they need from the
+transforms (4 and 4 at n=2, 9 and 18 at n=3). It allocates n complex
+buffers once, for the whole call: each holds one spectrum of a column,
+transformed in place from its matrix entry. Each inverse transform runs
+in place, in the spectrum that its pair uses for the last time, or at
+n >= 3 in one of two work buffers. The full n^3 tensor of derivatives
+d_k g_{ij-bar} is never built, and a yielded entry is one of these
+buffers, valid until the next one is asked for. ``defects`` reduces
+each entry to the Kahler defect and the torsion trace before it asks
+for the next one, and forms each entry of g^-1 they need from the
 planes of adj(g) and det g, one at a time, never the complex matrices
 of g^-1. ``chern.closedness_defect`` takes the entries from the same
 kernel. ``defects`` takes its Gauduchon defect,
@@ -91,22 +95,28 @@ def antisymmetric_pairs(g: HermitianField):
     inverse ones per pair, n^2 and n^2 (n - 1) in all. The n^3 derivative
     tensor is never built; each entry is computed as
     ifftn(sigma_i F g_jl) - ifftn(sigma_j F g_il), sigma_k the symbol of d_k.
-    Besides the n spectra of a column it holds one complex buffer, which
-    takes each matrix entry for its forward transform and the second
-    product for its inverse one. Both inverse transforms run in place;
-    each yielded entry is a new array."""
+    It holds n complex buffers, the spectra of a column, each transformed
+    in place from its matrix entry. Both products of a pair are formed
+    before either inverse transform, which runs in place in the spectrum
+    that the pair uses for the last time, or at n = 3 in one of two work
+    buffers. A yielded entry is one of these buffers: it stays valid until
+    the next one is asked for."""
     grid = g.grid
     n = grid.complex_dim
     sig = _holo_symbols(grid)
-    buf = np.empty(grid.shape, dtype=np.complex128)
+    spec = [np.empty(grid.shape, dtype=np.complex128) for _ in range(n)]
+    work = [np.empty(grid.shape, dtype=np.complex128) for _ in range(2 if n > 2 else 0)]
     for l in range(n):
-        spec = [_fftn(_entry(g.planes, i, l, buf)) for i in range(n)]
+        for i in range(n):
+            _fftn(_entry(g.planes, i, l, spec[i]), spec[i])
         for i in range(n):
             for j in range(i + 1, n):
-                a = sig[i] * spec[j]
+                # spec[i] is last used by the pair (i, n - 1), spec[n - 1] by (n - 2, n - 1).
+                a = np.multiply(sig[i], spec[j], out=spec[j] if i == n - 2 else work[0])
+                b = np.multiply(sig[j], spec[i], out=spec[i] if j == n - 1 else work[1])
                 _ifftn(a, a)
-                _ifftn(np.multiply(sig[j], spec[i], out=buf), buf)
-                a -= buf
+                _ifftn(b, b)
+                a -= b
                 yield i, j, l, a
 
 
@@ -145,7 +155,8 @@ def defects(g: HermitianField, gauduchon_defect: float | None = None) -> MetricD
     # The torsion trace without the torsion tensor: with A_ijl the pair
     # entry, trace_i gains -A_ijl ginv_lj and trace_j gains A_ijl ginv_li.
     # An entry of ginv = adj(g) / det g is formed only when it is used, in
-    # one buffer, with the division ``inverse`` does.
+    # one buffer, with the division ``inverse`` does; |A_ijl| for the
+    # Kahler defect takes the real part of that buffer before either entry.
     adj = _adjugate(g.planes)
     det_g = _det(g.planes, adj)
     n = g.grid.complex_dim
@@ -153,7 +164,7 @@ def defects(g: HermitianField, gauduchon_defect: float | None = None) -> MetricD
     e = np.empty(g.grid.shape, dtype=np.complex128)
     sups = []
     for i, j, l, d in antisymmetric_pairs(g):
-        sups.append(np.max(np.abs(d)))
+        sups.append(np.max(np.abs(d, out=e.real)))
         _entry(adj, l, j, e)
         e /= det_g
         trace[i] -= np.multiply(d, e, out=e)

@@ -43,7 +43,9 @@ without importing ``scipy.fft``, whose import loads ``scipy.special`` and
 ``numpy.f2py``. The wrappers pass the arguments ``scipy.fft``'s n-d
 transforms pass (every axis, no normalization forward and 1/N inverse,
 one thread), so the results are those of ``scipy.fft`` bit for bit, with
-none of its per-call dispatch.
+none of its per-call dispatch. ``_fftn``, ``_ifftn`` and ``_irfftn`` take
+an ``out`` array for pocketfft to write the result into; for the c2c
+ones it may be the input itself, an in-place transform.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ _pocketfft = _load_pocketfft()
 
 
 # Every axis (None), inorm 0 forward and 2 (divide by N) inverse, one thread.
-def _fftn(a):
-    return _pocketfft.c2c(a, None, True, 0, None, 1)
+def _fftn(a, out=None):
+    return _pocketfft.c2c(a, None, True, 0, out, 1)
 
 
 def _ifftn(a, out=None):
@@ -106,8 +108,8 @@ def _rfftn(a):
     return _pocketfft.r2c(a, None, True, 0, None, 1)
 
 
-def _irfftn(a, shape):
-    return _pocketfft.c2r(a, None, shape[-1], False, 2, None, 1)
+def _irfftn(a, shape, out=None):
+    return _pocketfft.c2r(a, None, shape[-1], False, 2, out, 1)
 
 
 @dataclass(frozen=True)

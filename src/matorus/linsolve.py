@@ -55,10 +55,12 @@ the right) works on eta in field form.
 
 GMRES(30) starts at x0 = rhs, that is at eta0 = M^-1 (rhs, 0), the
 preconditioner's answer. One application holds (eta, beta) and at most
-one Hessian plane of eta; the start keeps its (eta, beta) until the next
-application, for a solve that ends there, and any other answer takes one
-more pass of M^-1. The answer's n^2 Hessian planes are built once, after
-GMRES, so the Newton step does not differentiate its correction again.
+one Hessian plane of eta; for ``laplacian`` its n^2 planes reuse one half
+spectrum and one real plane. The start keeps its (eta, beta) until the
+next application, for a solve that ends there, and any other answer
+takes one more pass of M^-1. The answer's n^2 Hessian planes are built
+once, after GMRES, so the Newton step does not differentiate its
+correction again.
 For a conformal metric e^h I, adj(g) = e^((n-1)h) I: the planes of both
 operators are multiples of I, so the normalized ones have constant
 coefficients at phi = 0, M is the exact inverse, the start is the
@@ -95,7 +97,19 @@ def laplacian(planes: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_k planes[k] * irfftn(S_k * rfftn(f)), trace(G^-1 Hess f) for the
     planes of ``laplacian_planes`` and a real field f: one real forward
     transform and n^2 real inverse ones."""
-    return _contract(planes, _hessian_planes(_rfftn(values), grid), grid)
+    return _spectral_laplacian(planes, _rfftn(values), grid)
+
+
+def _spectral_laplacian(planes: tuple, spec: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``laplacian`` of the real field with half spectrum ``spec``: the
+    Hessian planes irfftn(S_k * spec), contracted as ``_contract`` does,
+    one at a time in one half spectrum and one real plane that every k
+    reuses."""
+    half, plane, out = np.empty_like(spec), np.empty(grid.shape), np.zeros(grid.shape)
+    for coeff, symbol in zip(planes, real_hessian_symbols(grid)):
+        _irfftn(np.multiply(symbol, spec, out=half), grid.shape, plane)
+        out += np.multiply(coeff, plane, out=plane)
+    return out
 
 
 def _contract(planes: tuple, hessian, grid: GridSpec) -> np.ndarray:
@@ -137,9 +151,10 @@ def solve_constrained(
     above, with mean(eta) = 0. ``apply`` is ``laplacian`` or
     ``laplacian_adjoint``, called as (planes, values, grid), and sets the
     side of the preconditioner's scaling. One application holds (eta, beta)
-    and at most one Hessian plane of eta. ``hessian``, the tuple of the n^2
-    real Hessian planes of the answer (``grid.real_hessian_symbols``), is
-    built after GMRES for ``laplacian`` and is None for the other kernel;
+    and at most one Hessian plane of eta; for ``laplacian`` its n^2 planes
+    reuse one half spectrum and one real plane. ``hessian``, the tuple of
+    the n^2 real Hessian planes of the answer (``grid.real_hessian_symbols``),
+    is built after GMRES for ``laplacian`` and is None for the other kernel;
     LinearSolverStalled past ``maxiter`` GMRES cycles."""
     shape = grid.shape
     zero = (0,) * len(shape)
@@ -179,9 +194,14 @@ def solve_constrained(
         start.clear()
         eta, beta = answer = precondition(r)
         start.extend(answer if r is b else ())
-        if fused:  # the Hessian planes of eta, one at a time
-            return (_contract(planes, _hessian_planes(eta, grid), grid) - beta).ravel()
-        return (apply(planes, eta, grid) - beta).ravel()
+        if not fused:
+            return (apply(planes, eta, grid) - beta).ravel()
+        # The Hessian planes of eta, one at a time. beta is subtracted in
+        # place, so nothing is allocated just after the planes' buffers are
+        # freed, which makes glibc trim and then regrow the heap top.
+        out = _spectral_laplacian(planes, eta, grid)
+        out -= beta
+        return out.ravel()
 
     x = _gmres(matvec, b, b, rtol, maxiter)
     eta, beta = start or precondition(x)

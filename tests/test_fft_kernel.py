@@ -45,7 +45,10 @@ def test_wrappers_equal_scipy_fft_on_strided_read_only_input():
     entry = mats[..., 0, 1]
     assert _same_bits(grid._fftn(entry), sfft.fftn(entry))
     assert _same_bits(grid._ifftn(entry), sfft.ifftn(entry))
-    # geometry.antisymmetric_pairs runs its inverse transforms in place.
+    # geometry.antisymmetric_pairs runs its transforms in place.
+    x = entry.copy()
+    assert grid._fftn(x, x) is x
+    assert _same_bits(x, sfft.fftn(entry))
     x = entry.copy()
     assert grid._ifftn(x, x) is x
     assert _same_bits(x, sfft.ifftn(entry))

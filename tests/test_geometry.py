@@ -103,12 +103,13 @@ class TestDefects:
     @pytest.mark.parametrize(
         "n, N, budget",
         [
-            # The pair kernel reads 10.5 and 17.0 fields: g^-1 is formed
-            # one entry at a time from the adjugate's planes, and the pair
-            # transforms run in place. With the complex g^-1 held it read
-            # 12.0 and 20.0.
-            (2, 16, 11.5),
-            (3, 8, 18.0),
+            # defects reads 6.63 and 14.03 fields: the pair kernel holds
+            # n complex buffers (and two work buffers at n=3) for the whole
+            # call and transforms in them in place, and g^-1 is formed one
+            # entry at a time from the adjugate's planes. With new spectra
+            # and products for every column and pair it read 10.5 and 17.0.
+            (2, 16, 7.0),
+            (3, 8, 14.5),
         ],
     )
     def test_memory_budget(self, n, N, budget):

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from matorus.geometry import defects, weight_planes
+from matorus.geometry import antisymmetric_pairs, defects, weight_planes
 from matorus.grid import (
     GridSpec,
+    HermitianField,
     _adjugate,
     _hessian_matrix,
     _holo_symbols,
@@ -191,6 +192,27 @@ def test_defects_match_torsion_and_reference_operator(grid8, rng):
     cfields = ref_weight_fields(g.values, 2)
     gaud = float(np.max(np.abs(ref_weight_operator(np.ones(grid8.shape), cfields, grid8))))
     assert abs(d.gauduchon_defect - gaud) <= RTOL * gaud
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["metric", "indefinite"])
+def test_every_pair_entry_equals_the_reference_bit_for_bit(n, kind, rng):
+    # Each entry, not only their max: at n=3 the pair kernel's work
+    # buffers and its in-place transforms in the spectra are all in use.
+    # The indefinite field is what chern.closedness_defect is given.
+    grid = GridSpec(n, 8)
+    if kind == "metric":
+        h = random_metric(grid, rng, amplitude=0.6)
+    else:
+        h = HermitianField(grid, tuple(random_trig_field(grid, rng).values for _ in range(n * n)))
+    dg = ref_metric_derivatives(h.values, grid)
+    pairs = [(i, j, l) for l in range(n) for i in range(n) for j in range(i + 1, n)]
+    seen = []
+    for i, j, l, d in antisymmetric_pairs(h):
+        ref = dg[..., i, j, l] - dg[..., j, i, l]
+        assert np.array_equal(d.view(np.uint64), ref.view(np.uint64)), (i, j, l)
+        seen.append((i, j, l))
+    assert seen == pairs
 
 
 def _assert_defects_differentiate_once(grid, rng, count_transforms):
